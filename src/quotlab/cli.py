@@ -237,9 +237,8 @@ def _run(argv) -> int:
                                         memory_cap=memory_cap)
         results = report.to_dict()
         if getattr(args, "histogram_out", None):
-            hist = quotients.quadruple_histogram(g, ground, workers=workers)
             reports.write_csv(args.histogram_out, ["x", "count"],
-                              reports.histogram_csv_rows(hist))
+                              reports.histogram_csv_rows(report.histogram))
     elif experiment == "rich-points":
         thresholds = config.get("thresholds")
         if not thresholds:

@@ -142,7 +142,9 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
 
 def _scaled_family(family: LineMultiset):
     """Integer form of the slope classes: (SB, LB, intercept lists, mult
-    lists, LC).  Index order matches sorted slopes/intercepts."""
+    lists, LC).  Index order matches sorted slopes/intercepts.  Built from
+    the family of g over A x A it is also the value table of the quotient
+    and histogram kernels (intercepts -g(a, b))."""
     classes = family.slope_classes()
     slopes = [s for s, _ in classes]
     sb, lb = scaled_ints(slopes)
@@ -158,6 +160,18 @@ def _scaled_family(family: LineMultiset):
     return sb, lb, sc_lists, mult_lists, lc
 
 
+def _fold_scale(num: int, den: int) -> tuple[int, int]:
+    """Reduce the constant factor num/den to (mul, den) with den > 0.
+
+    A slope-pair kernel scales each integer difference by mul and reduces
+    it against den; the order of the slopes in ``den`` fixes the sign."""
+    g0 = gcd(num, den)
+    mul, den = num // g0, den // g0
+    if den < 0:
+        mul, den = -mul, -den
+    return mul, den
+
+
 def _crossing_chunk(args):
     """Aggregate crossings for one chunk of slope-class pairs.
 
@@ -171,12 +185,7 @@ def _crossing_chunk(args):
     k_scale = lb * lc
     for i, j in pairs:
         bi = sb[i]
-        d0 = (bi - sb[j]) * lc
-        g0 = _gcd(lb, d0)
-        mul = lb // g0
-        den = d0 // g0
-        if den < 0:
-            mul, den = -mul, -den
+        mul, den = _fold_scale(lb, (bi - sb[j]) * lc)
         bi_lc = bi * lc
         ci_list = sc_lists[i]
         cj_list = sc_lists[j]
@@ -378,11 +387,13 @@ def incidences(points: Iterable[tuple[Fraction, Fraction]],
     """Exact incidence count sum over points of n(point), with the
     classical n^(2/3) m^(2/3) + n + m reference value alongside."""
     pts = list(points)
+    by_slope: dict[Fraction, dict[Fraction, int]] = {}
+    for line in family.lines:
+        by_slope.setdefault(line.slope, {})[line.intercept] = line.multiplicity
     count = 0
     for x, y in pts:
-        for line in family.lines:
-            if y == line.slope * x + line.intercept:
-                count += line.multiplicity
+        for slope, intercepts in by_slope.items():
+            count += intercepts.get(y - slope * x, 0)
     n = len(pts)
     m = len(family)
     reference = n ** (2 / 3) * m ** (2 / 3) + n + m

@@ -35,13 +35,16 @@ def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R
     """Apply a picklable top-level function to each task, in task order.
 
     ``workers`` <= 1 runs inline; otherwise a process pool is attempted
-    and silently degraded to inline execution when unavailable.
+    and degraded to inline execution only when it cannot be created.  An
+    exception raised by ``fn`` propagates; the job is never rerun.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     try:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(fn, tasks))
-    except (OSError, PermissionError, ValueError):
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    except (OSError, NotImplementedError):
+        # No semaphores or process support here (restricted sandboxes).
         return [fn(t) for t in tasks]
+    with pool:
+        return list(pool.map(fn, tasks))

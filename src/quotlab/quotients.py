@@ -8,10 +8,12 @@ The central objects for a bivariate g and a finite set A:
                     whose lines y = b*x - g(a,b) cross at abscissa x
                     (denominator convention b1 - b2, so support(Q) = -X)
 
-Enumeration is organized per ordered slope pair with a precomputed value
-table, so g is evaluated only |A|^2 times; within a slope pair only the
-distinct column values matter (with multiplicities for the histogram).
-Everything is exact integer arithmetic after clearing denominators once.
+Enumeration is organized per slope pair over the scaled table of the line
+family (lines._scaled_family), so g is evaluated only |A|^2 times; within
+a slope pair only the distinct column values matter (with multiplicities
+for the histogram).  Everything is exact integer arithmetic after clearing
+denominators once.  The chain computes Q once and reads X off as -support(Q);
+the set kernel behind quotient_set serves the experiments that need X alone.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
-from .lines import build_lines, crossing_weights, vertical_section, DEFAULT_POINT_CAP
+from .lines import (build_lines, crossing_weights, vertical_section, DEFAULT_POINT_CAP,
+                    _fold_scale, _scaled_family)
 from .parallel import chunk_ranges, run_chunks
 from .polynomials import Poly, degeneracy_test
-from .rationals import scaled_ints
 from .sets import GroundSet, SetSpec, generate_set
 
 
@@ -82,58 +84,27 @@ class QuadrupleHistogram:
         return len(self.counts)
 
 
-# -- shared column machinery ----------------------------------------------
-
-
-def _value_columns(g: Poly, ground: GroundSet):
-    """Scaled-integer value columns of the |A| x |A| table g(a, b).
-
-    Returns (slopes, lb, columns, lv) with slopes the scaled elements of
-    A (common scale lb) and columns[i] = (values, counts): the distinct
-    scaled values {g(a, b_i)} with their multiplicities, sorted.
-    """
-    elements = ground.values
-    slopes, lb = scaled_ints(elements)
-    per_column: list[list[tuple[Fraction, int]]] = []
-    all_values: list[Fraction] = []
-    for b in elements:
-        col = Counter(g.evaluate((a, b)) for a in elements)
-        items = sorted(col.items())
-        per_column.append(items)
-        all_values.extend(v for v, _ in items)
-    scaled, lv = scaled_ints(all_values)
-    columns = []
-    pos = 0
-    for items in per_column:
-        k = len(items)
-        columns.append((scaled[pos:pos + k], [c for _, c in items]))
-        pos += k
-    return slopes, lb, columns, lv
-
-
-def _fold_scale(lb: int, d0: int) -> tuple[int, int]:
-    """Reduce the constant factor lb/d0 to (mul, den) with den > 0."""
-    g0 = gcd(lb, d0)
-    mul, den = lb // g0, d0 // g0
-    if den < 0:
-        mul, den = -mul, -den
-    return mul, den
+# -- slope-pair kernels ---------------------------------------------------
+#
+# Both kernels walk the table of lines._scaled_family, whose intercepts are
+# c = -g(a, b).  For u = g(a1, b_i) and v = g(a2, b_j), u - v = c_j - c_i,
+# so each kernel forms c_i - c_j and puts the sign into the denominator it
+# hands to _fold_scale.
 
 
 def _quotient_chunk(args):
     """Distinct canonical quotient pairs for a chunk of slope pairs."""
-    slopes, lb, columns, lv, pairs = args
+    sb, lb, sc_lists, _mult_lists, lc, pairs = args
     out: set[tuple[int, int]] = set()
     _gcd = gcd
     for i, j in pairs:
-        # value = (u - v) / (b_j - b_i) for u in column i, v in column j;
-        # the reversed slope order yields the same value set.
-        mul, den = _fold_scale(lb, (slopes[j] - slopes[i]) * lv)
-        ui = columns[i][0]
-        vj = columns[j][0]
+        # value = (u - v) / (b_j - b_i) = (c_i - c_j) / (b_i - b_j); the
+        # reversed slope order yields the same value set.
+        mul, den = _fold_scale(lb, (sb[i] - sb[j]) * lc)
+        cj_list = sc_lists[j]
         diffs: set[int] = set()
-        for u in ui:
-            diffs.update([u - v for v in vj])
+        for ci in sc_lists[i]:
+            diffs.update([ci - cj for cj in cj_list])
         add = out.add
         for d in diffs:
             p = d * mul
@@ -147,27 +118,28 @@ def _quotient_chunk(args):
 
 def _histogram_chunk(args):
     """Canonical abscissa -> quadruple count for a chunk of slope pairs."""
-    slopes, lb, columns, lv, pairs = args
+    sb, lb, sc_lists, mult_lists, lc, pairs = args
     out: dict[tuple[int, int], int] = {}
     _gcd = gcd
     for i, j in pairs:
-        # abscissa = (u - v) / (b_i - b_j); each unordered slope pair
-        # stands for both ordered pairs, which double every count.
-        mul, den = _fold_scale(lb, (slopes[i] - slopes[j]) * lv)
-        ui, ci = columns[i]
-        vj, cj = columns[j]
-        plain = all(c == 1 for c in ci) and all(c == 1 for c in cj)
+        # abscissa = (u - v) / (b_i - b_j) = (c_i - c_j) / (b_j - b_i); each
+        # unordered slope pair stands for both ordered pairs, which double
+        # every count.
+        mul, den = _fold_scale(lb, (sb[j] - sb[i]) * lc)
+        ci_list, mi_list = sc_lists[i], mult_lists[i]
+        cj_list, mj_list = sc_lists[j], mult_lists[j]
+        plain = all(m == 1 for m in mi_list) and all(m == 1 for m in mj_list)
         if plain:
             raw: Counter = Counter()
-            for u in ui:
-                raw.update([u - v for v in vj])
+            for ci in ci_list:
+                raw.update([ci - cj for cj in cj_list])
             weighted = ((d, 2 * c) for d, c in raw.items())
         else:
             acc: dict[int, int] = {}
-            for u, cu in zip(ui, ci):
-                for v, cv in zip(vj, cj):
-                    d = u - v
-                    acc[d] = acc.get(d, 0) + cu * cv
+            for ci, mi in zip(ci_list, mi_list):
+                for cj, mj in zip(cj_list, mj_list):
+                    d = ci - cj
+                    acc[d] = acc.get(d, 0) + mi * mj
             weighted = ((d, 2 * c) for d, c in acc.items())
         for d, w in weighted:
             p = d * mul
@@ -181,10 +153,10 @@ def _histogram_chunk(args):
 
 
 def _slope_pair_tasks(g: Poly, ground: GroundSet, workers: int):
-    slopes, lb, columns, lv = _value_columns(g, ground)
-    n = len(slopes)
+    table = _scaled_family(build_lines(g, ground, ground))
+    n = len(table[0])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(slopes, lb, columns, lv, pairs[start:stop])
+    return [table + (pairs[start:stop],)
             for start, stop in chunk_ranges(len(pairs), workers)]
 
 
@@ -228,7 +200,8 @@ class ChainReport:
 
     Exact integers throughout; the ratios are floats derived for display.
     ``links`` records the identities that were checked (a failure raises
-    InternalCheckError instead of producing a report).
+    InternalCheckError instead of producing a report).  ``histogram`` is
+    the Q the chain computed; it is not part of ``to_dict``.
     """
 
     size_a: int
@@ -249,6 +222,7 @@ class ChainReport:
     energy_bound_ratio: float | None
     energy_bound_ratio_excl_zero: float | None
     inferred_lower_bound: float
+    histogram: QuadrupleHistogram = field(compare=False, repr=False)
     links: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -282,7 +256,6 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
 
     Checks performed exactly (any failure raises InternalCheckError):
       * histogram conservation: sum Q(x) = |A|^3 (|A| - 1);
-      * sign bridge: X = -support(Q) elementwise;
       * crossing abscissas coincide with support(Q);
       * per-abscissa identity: Q(x) = sum over crossing points at x of
         n^2 - sum(m^2), i.e. twice the cross-pair weight;
@@ -291,6 +264,10 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
       * energy identity: energy over the support equals
         quadruple_total + |support| * (sum of line multiplicity^2);
       * vertical-section mass at sampled support abscissas is |A|^2.
+
+    X is read off as -support(Q), so size_x = |support(Q)|; the
+    ``sign_bridge`` link records that reading.  That the set kernel of
+    quotient_set agrees with it is checked by the tests, not per run.
     """
     verdict = degeneracy_test(g)
     if verdict.degenerate:
@@ -308,14 +285,11 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
             max_point_weight=0, point_weight_cap=degree * n,
             point_weight_within_cap=True, energy_bound_ratio=None,
             energy_bound_ratio_excl_zero=None, inferred_lower_bound=0.0,
-            links={"empty_instance": True})
+            histogram=QuadrupleHistogram({}), links={"empty_instance": True})
 
-    xset = quotient_set(g, ground, workers=workers)
     hist = quadruple_histogram(g, ground, workers=workers)
     quadruple_total = hist.total
-
-    if {-x for x in hist.support} != xset.as_set():
-        raise InternalCheckError("quotient set is not the negated histogram support")
+    size_x = len(hist)
 
     family = build_lines(g, ground, ground)
     t2 = family.squared_multiplicity_total()
@@ -360,28 +334,28 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
     zero_in_support = zero in hist.counts
     if zero_in_support:
         energy_excl = energy_support - (hist[zero] + t2)
-        size_excl = len(xset) - 1
+        size_excl = size_x - 1
     else:
         energy_excl = energy_support
-        size_excl = len(xset)
+        size_excl = size_x
 
     size_bound_limit = Fraction(n * n, 4 * degree ** 2)
-    ratio = energy_support / (n ** 3 * math.sqrt(len(xset))) if len(xset) else None
+    ratio = energy_support / (n ** 3 * math.sqrt(size_x)) if size_x else None
     ratio_excl = (energy_excl / (n ** 3 * math.sqrt(size_excl))
                   if size_excl else None)
-    inferred = (len(xset) * (quadruple_total / energy_support) ** 2
+    inferred = (size_x * (quadruple_total / energy_support) ** 2
                 if energy_support else 0.0)
 
     return ChainReport(
         size_a=n,
         degree=degree,
-        size_x=len(xset),
+        size_x=size_x,
         quadruple_total=quadruple_total,
         squared_multiplicity_total=t2,
         energy_support=energy_support,
         energy_support_excl_zero=energy_excl,
         zero_in_support=zero_in_support,
-        size_bound_ok=Fraction(len(xset)) <= size_bound_limit,
+        size_bound_ok=Fraction(size_x) <= size_bound_limit,
         size_bound_limit=size_bound_limit,
         max_line_multiplicity=family.max_multiplicity,
         line_multiplicity_within_degree=family.max_multiplicity <= degree,
@@ -391,6 +365,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
         energy_bound_ratio=ratio,
         energy_bound_ratio_excl_zero=ratio_excl,
         inferred_lower_bound=inferred,
+        histogram=hist,
         links={
             "histogram_conservation": True,
             "sign_bridge": True,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
@@ -96,8 +96,3 @@ def scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     scale = lcm(*(v.denominator for v in values)) if values else 1
     return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def sorted_distinct(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """Sorted tuple of the distinct rationals in ``values``."""
-    return tuple(sorted(set(values)))

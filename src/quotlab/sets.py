@@ -9,6 +9,7 @@ an explicit value list.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -45,7 +46,9 @@ class GroundSet:
         return self.values[i]
 
     def __contains__(self, value) -> bool:
-        return as_rational(value) in set(self.values)
+        value = as_rational(value)
+        i = bisect_left(self.values, value)
+        return i < len(self.values) and self.values[i] == value
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroundSet) and self.values == other.values

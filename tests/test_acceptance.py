@@ -232,7 +232,7 @@ def test_criterion_7_rich_point_decay():
     assert reports[-1].threshold == max_weight + 1
     assert reports[-1].count == 0
     assert all(isinstance(r.bound_ratio, Fraction) for r in reports)
-    assert all(r.count > 0 for r in reports if r.threshold <= max_weight) or True
+    assert all(r.count > 0 for r in reports if r.threshold <= max_weight)
     report_line(7, True, f"|R_t| non-increasing over t in [2, {max_weight + 1}], "
                          f"zero beyond max weight {max_weight}, exact ratios reported")
 

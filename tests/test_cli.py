@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+from quotlab import quotients
 from quotlab.cli import main
 
 G_X = '[{"c":"1","i":1,"j":0}]'
@@ -65,6 +66,28 @@ def test_chain_report_and_histogram_csv(tmp_path):
     rows = list(csv.reader(hist_path.open()))
     assert rows[0] == ["x", "count"]
     assert rows[1:] == [["-1", "2"], ["0", "4"], ["1", "2"]]
+
+
+def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
+    calls = {"histogram": 0, "quotient": 0}
+
+    def counted(name, kernel):
+        def call(args):
+            calls[name] += 1
+            return kernel(args)
+        return call
+
+    monkeypatch.setattr(quotients, "_histogram_chunk",
+                        counted("histogram", quotients._histogram_chunk))
+    monkeypatch.setattr(quotients, "_quotient_chunk",
+                        counted("quotient", quotients._quotient_chunk))
+    hist_path = tmp_path / "hist.csv"
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
+                           "--workers", "1", "--histogram-out", str(hist_path))
+    assert code == 0
+    assert calls == {"histogram": 1, "quotient": 0}
+    rows = list(csv.reader(hist_path.open()))
+    assert len(rows) - 1 == report["results"]["size_x"]
 
 
 def test_rich_points_report_and_csv(tmp_path):

@@ -181,7 +181,8 @@ def test_chain_links_hold_on_random_instances(seed):
     ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
     report = verify_chain(g, ground)
     assert all(report.links.values())
-    assert report.size_x == len(quotient_set(g, ground))
+    assert report.size_x == len(brute_quotient_set(g, ground))
+    assert report.histogram.counts == brute_quadruple_histogram(g, ground)
 
 
 def test_chain_workers_equivalent():
