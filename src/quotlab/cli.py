@@ -6,7 +6,8 @@ JSON config file (--config) with flags overriding individual fields, so
 a committed config reproduces a run exactly.
 
 Exit codes: 0 success, 1 usage/input error, 2 hypothesis violation,
-3 resource cap exceeded.
+3 resource cap exceeded (including a worker process that died),
+4 internal check failed (an exact identity did not hold: a bug).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bisectors, lines, quotients, reports
-from .errors import DegenerateError, InputError, ResourceCapError
+from .errors import DegenerateError, InputError, InternalCheckError, ResourceCapError
 from .polynomials import bivariate_from_terms, bivariate_to_terms, degeneracy_test
 from .rationals import as_rational, format_rational
 from .sets import SetSpec, generate_set
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all quotlab modules.
 
 The CLI maps these onto exit codes: InputError -> 1,
-DegenerateError -> 2, ResourceCapError -> 3.
+DegenerateError -> 2, ResourceCapError -> 3, InternalCheckError -> 4.
 """
 
 
@@ -19,7 +19,7 @@ class DegenerateError(QuotlabError):
 
 
 class ResourceCapError(QuotlabError):
-    """A configured memory/entry cap was exceeded."""
+    """A memory/entry cap was exceeded, memory ran out, or a worker died."""
 
 
 class InternalCheckError(QuotlabError):

@@ -2,14 +2,16 @@
 
 Each pair (a, b) in A x B maps to the line y = b*x - g(a, b).  The family
 is a multiset: pairs sharing slope and intercept merge into one stored
-line carrying all its source tags.  The point weight n(x, y) counts the
-lines through (x, y) *with* multiplicity.
+line carrying their count, its multiplicity.  The point weight n(x, y)
+counts the lines through (x, y) *with* multiplicity.
 
-Enumeration never walks instance pairs.  Lines are grouped by slope;
-for each pair of slope classes the crossing abscissa is solved exactly,
-x = (c2 - c1)/(b1 - b2), in pre-scaled integer arithmetic.  Per crossing
-point the kernel accumulates, over the unordered pairs of distinct lines
-(multiplicities m_i, m_j) that meet there:
+Enumeration never walks instance pairs.  Lines are grouped by slope into
+one integer table per family (LineMultiset.table) that every slope-pair
+kernel reads.  For each pair of slope classes the crossing abscissa is
+solved exactly, x = (c2 - c1)/(b1 - b2), in pre-scaled integer
+arithmetic.  Per crossing point the kernel accumulates, over the
+unordered pairs of distinct lines (multiplicities m_i, m_j) that meet
+there:
 
     pairs     += 1
     mass      += m_i + m_j
@@ -31,6 +33,7 @@ is applied in energy computations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -47,24 +50,17 @@ DEFAULT_POINT_CAP = 200_000_000
 
 @dataclass(frozen=True)
 class Line:
-    """One distinct line with its source tags (a, b)."""
+    """One distinct line with the number of pairs (a, b) that give it."""
 
     slope: Fraction
     intercept: Fraction
-    tags: tuple
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.tags)
-
-    def y_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
+    multiplicity: int
 
 
 class LineMultiset:
-    """Distinct lines with multiplicities; total weight = sum of tags."""
+    """Distinct lines with multiplicities; total weight = sum of them."""
 
-    __slots__ = ("lines", "total_weight")
+    __slots__ = ("lines", "total_weight", "_table")
 
     def __init__(self, lines: Sequence[Line]):
         seen = set()
@@ -72,21 +68,17 @@ class LineMultiset:
             key = (line.slope, line.intercept)
             if key in seen:
                 raise InputError("duplicate (slope, intercept) in line multiset")
-            if not line.tags:
-                raise InputError("line without tags")
+            if line.multiplicity < 1:
+                raise InputError("line multiplicity must be >= 1")
             seen.add(key)
         self.lines = tuple(sorted(lines, key=lambda l: (l.slope, l.intercept)))
         self.total_weight = sum(l.multiplicity for l in self.lines)
+        self._table = None
 
     @classmethod
     def from_weighted(cls, entries: Iterable[tuple[Fraction, Fraction, int]]) -> "LineMultiset":
         """Build directly from (slope, intercept, multiplicity) rows."""
-        lines = []
-        for slope, intercept, mult in entries:
-            if mult < 1:
-                raise InputError("line multiplicity must be >= 1")
-            lines.append(Line(slope, intercept, ((slope, intercept),) * mult))
-        return cls(lines)
+        return cls([Line(slope, intercept, mult) for slope, intercept, mult in entries])
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -103,26 +95,36 @@ class LineMultiset:
         instance pairs, and the per-abscissa floor of sum_y n(x,y)^2."""
         return sum(l.multiplicity ** 2 for l in self.lines)
 
-    def slope_classes(self) -> list[tuple[Fraction, list[tuple[Fraction, int]]]]:
-        """Lines grouped by slope, both levels sorted."""
-        classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
-        for line in self.lines:
-            classes.setdefault(line.slope, []).append((line.intercept, line.multiplicity))
-        return [(slope, classes[slope]) for slope in sorted(classes)]
+    @property
+    def table(self):
+        """The slope classes in integer form, built on first use and read by
+        every slope-pair kernel: (SB, LB, intercept lists, multiplicity
+        lists, LC), one list per slope in sorted order.  For the family of
+        g over A x A the intercepts -g(a, b) are the value table."""
+        if self._table is None:
+            classes: dict[Fraction, list[Line]] = {}
+            for line in self.lines:  # sorted by (slope, intercept)
+                classes.setdefault(line.slope, []).append(line)
+            sb, lb = scaled_ints(list(classes))
+            flat, lc = scaled_ints([line.intercept for line in self.lines])
+            column = iter(flat)
+            sc_lists = [[next(column) for _ in items] for items in classes.values()]
+            mult_lists = [[line.multiplicity for line in items] for items in classes.values()]
+            self._table = (sb, lb, sc_lists, mult_lists, lc)
+        return self._table
 
 
 def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultiset:
     """The dual family {y = b*x - g(a, b) : (a, b) in A x B}."""
     if len(ground_a) == 0 or len(ground_b) == 0:
         raise InputError("ground sets must be nonempty")
-    merged: dict[tuple[Fraction, Fraction], list] = {}
+    merged: dict[tuple[Fraction, Fraction], int] = {}
     for b in ground_b:
         for a in ground_a:
-            intercept = -g.evaluate((a, b))
-            merged.setdefault((b, intercept), []).append((a, b))
-    lines = [Line(slope, intercept, tuple(tags))
-             for (slope, intercept), tags in merged.items()]
-    out = LineMultiset(lines)
+            key = (b, -g.evaluate((a, b)))
+            merged[key] = merged.get(key, 0) + 1
+    out = LineMultiset([Line(slope, intercept, mult)
+                        for (slope, intercept), mult in merged.items()])
     if out.total_weight != len(ground_a) * len(ground_b):
         raise InternalCheckError("line multiset lost weight during merging")
     return out
@@ -132,7 +134,7 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
     """Map y -> n(x, y) on the vertical line at x; values sum to |A||B|."""
     section: dict[Fraction, int] = {}
     for line in family.lines:
-        y = line.y_at(x)
+        y = line.slope * x + line.intercept
         section[y] = section.get(y, 0) + line.multiplicity
     return section
 
@@ -140,24 +142,13 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
 # -- exact crossing aggregation ------------------------------------------
 
 
-def _scaled_family(family: LineMultiset):
-    """Integer form of the slope classes: (SB, LB, intercept lists, mult
-    lists, LC).  Index order matches sorted slopes/intercepts.  Built from
-    the family of g over A x A it is also the value table of the quotient
-    and histogram kernels (intercepts -g(a, b))."""
-    classes = family.slope_classes()
-    slopes = [s for s, _ in classes]
-    sb, lb = scaled_ints(slopes)
-    flat = [c for _, items in classes for c, _ in items]
-    flat_scaled, lc = scaled_ints(flat)
-    sc_lists: list[list[int]] = []
-    mult_lists: list[list[int]] = []
-    pos = 0
-    for _, items in classes:
-        sc_lists.append(flat_scaled[pos:pos + len(items)])
-        mult_lists.append([m for _, m in items])
-        pos += len(items)
-    return sb, lb, sc_lists, mult_lists, lc
+def _slope_pair_tasks(table, workers: int, *extra) -> list[tuple]:
+    """Tasks for a slope-pair kernel: ``table + (pairs, *extra)`` per chunk
+    of the slope-class pairs (i, j), i < j, cut for ``workers``."""
+    n = len(table[0])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [table + (pairs[start:stop],) + extra
+            for start, stop in chunk_ranges(len(pairs), workers)]
 
 
 def _fold_scale(num: int, den: int) -> tuple[int, int]:
@@ -179,7 +170,7 @@ def _crossing_chunk(args):
     else {...: [pairs, mass, cross, sq_mass]}.  Top-level so process
     pools can pickle it.
     """
-    sb, lb, sc_lists, mult_lists, lc, pairs, fast, xfilter, cap = args
+    sb, lb, sc_lists, mult_lists, lc, pairs, fast, cap = args
     agg: dict = {}
     _gcd = gcd
     k_scale = lb * lc
@@ -201,8 +192,6 @@ def _crossing_chunk(args):
                     gx = _gcd(xp, den)
                     xp //= gx
                     xq = den // gx
-                if xfilter is not None and (xp, xq) not in xfilter:
-                    continue
                 yp = bi_lc * xp + t1 * xq
                 yq = k_scale * xq
                 if yp == 0:
@@ -254,16 +243,13 @@ def _merge_crossings(parts: list[dict], fast: bool, cap: int | None) -> dict:
 def _point_stats(rec, fast: bool) -> tuple[int, int, int]:
     """(n, sum of m^2, cross-pair weight) for one aggregated point, with
     exact consistency checks."""
-    if fast:
-        c = rec
-        k = (1 + isqrt(1 + 8 * c)) // 2
-        if k * (k - 1) // 2 != c or k < 2:
-            raise InternalCheckError("crossing pair count is not triangular")
-        return k, k, c
-    c, mass, cross, sq_mass = rec
+    c = rec if fast else rec[0]
     k = (1 + isqrt(1 + 8 * c)) // 2
     if k * (k - 1) // 2 != c or k < 2:
         raise InternalCheckError("crossing pair count is not triangular")
+    if fast:
+        return k, k, c
+    _, mass, cross, sq_mass = rec
     if mass % (k - 1) or sq_mass % (k - 1):
         raise InternalCheckError("crossing mass not divisible by k-1")
     n = mass // (k - 1)
@@ -273,25 +259,34 @@ def _point_stats(rec, fast: bool) -> tuple[int, int, int]:
     return n, sqm, cross
 
 
-def crossing_weights(family: LineMultiset, workers: int = 1,
-                     memory_cap: int | None = DEFAULT_POINT_CAP,
-                     xfilter: frozenset | None = None) -> dict[tuple[int, int, int, int],
-                                                               tuple[int, int, int]]:
-    """Every point where >= 2 distinct lines meet, with (n, sum m^2, cross).
+class CrossingPoints:
+    """Points where >= 2 distinct lines meet; iterating yields the canonical
+    key (xp, xq, yp, yq) with n, sum m^2 and cross, derived and checked as
+    they are read so that no second per-point table is held."""
 
-    Keys are canonical integer pairs (xp, xq, yp, yq).  ``xfilter``
-    restricts to abscissas whose canonical pair is in the set.  The
-    result is independent of ``workers``.
-    """
-    scaled = _scaled_family(family)
-    n_classes = len(scaled[0])
-    pairs = [(i, j) for i in range(n_classes) for j in range(i + 1, n_classes)]
+    __slots__ = ("_agg", "_fast")
+
+    def __init__(self, agg: dict, fast: bool):
+        self._agg = agg
+        self._fast = fast
+
+    def __len__(self) -> int:
+        return len(self._agg)
+
+    def __iter__(self):
+        fast = self._fast
+        for key, rec in self._agg.items():
+            yield (key, *_point_stats(rec, fast))
+
+
+def crossing_weights(family: LineMultiset, workers: int = 1,
+                     memory_cap: int | None = DEFAULT_POINT_CAP) -> CrossingPoints:
+    """Every point where >= 2 distinct lines meet, with (n, sum m^2,
+    cross).  The result is independent of ``workers``."""
     fast = family.max_multiplicity == 1
-    tasks = [scaled + (pairs[start:stop], fast, xfilter, memory_cap)
-             for start, stop in chunk_ranges(len(pairs), workers)]
+    tasks = _slope_pair_tasks(family.table, workers, fast, memory_cap)
     parts = run_chunks(_crossing_chunk, tasks, workers)
-    merged = _merge_crossings(parts, fast, memory_cap)
-    return {key: _point_stats(rec, fast) for key, rec in merged.items()}
+    return CrossingPoints(_merge_crossings(parts, fast, memory_cap), fast)
 
 
 # -- public reports -------------------------------------------------------
@@ -323,8 +318,8 @@ def intersection_points(family: LineMultiset, workers: int = 1,
                         memory_cap: int | None = DEFAULT_POINT_CAP) -> list[PointMultiplicity]:
     """All points on >= 2 distinct lines, sorted by (x, y), with n(x, y)."""
     weights = crossing_weights(family, workers=workers, memory_cap=memory_cap)
-    out = [PointMultiplicity((Fraction(xp, xq), Fraction(yp, yq)), stats[0])
-           for (xp, xq, yp, yq), stats in weights.items()]
+    out = [PointMultiplicity((Fraction(xp, xq), Fraction(yp, yq)), n)
+           for (xp, xq, yp, yq), n, _sqm, _cross in weights]
     out.sort(key=lambda pm: pm.point)
     return out
 
@@ -342,12 +337,11 @@ def energy_restricted(family: LineMultiset, abscissas: Iterable[Fraction],
     if not xs:
         return 0
     xset = frozenset((x.numerator, x.denominator) for x in xs)
-    weights = crossing_weights(family, workers=workers, memory_cap=memory_cap,
-                               xfilter=xset)
-    floor = family.squared_multiplicity_total()
-    energy = floor * len(xs)
-    for (xp, xq, _yp, _yq), (n, sqm, _cross) in weights.items():
-        energy += n * n - sqm
+    energy = family.squared_multiplicity_total() * len(xs)
+    for (xp, xq, _yp, _yq), n, sqm, _cross in crossing_weights(
+            family, workers=workers, memory_cap=memory_cap):
+        if (xp, xq) in xset:
+            energy += n * n - sqm
     return energy
 
 
@@ -368,16 +362,11 @@ def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
             raise InputError("rich-point threshold must be an integer >= 2 "
                              "(points on fewer than 2 distinct lines are not materialized)")
     weights = crossing_weights(family, workers=workers, memory_cap=memory_cap)
-    ns = sorted((stats[0] for stats in weights.values()), reverse=True)
+    ns = sorted(n for _key, n, _sqm, _cross in weights)
     w2 = family.total_weight ** 2
     out = []
     for t in thresholds:
-        count = 0
-        for n in ns:
-            if n >= t:
-                count += 1
-            else:
-                break
+        count = len(ns) - bisect_left(ns, t)
         out.append(RichPointReport(t, count, Fraction(count * t ** 3, w2)))
     return out
 

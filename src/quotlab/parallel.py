@@ -5,12 +5,15 @@ pairs).  With ``workers`` > 1 the list is cut into contiguous chunks that
 run in a process pool; partial aggregates are merged in chunk order, so
 the result is bit-identical for every worker count.  If a pool cannot be
 created (restricted sandboxes), chunks run sequentially with the same
-merge order, which cannot change the output.
+merge order, which cannot change the output.  Running out of memory, or
+a worker that dies (say, by the OOM killer), raises ResourceCapError.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
+
+from .errors import ResourceCapError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -36,15 +39,29 @@ def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R
 
     ``workers`` <= 1 runs inline; otherwise a process pool is attempted
     and degraded to inline execution only when it cannot be created.  An
-    exception raised by ``fn`` propagates; the job is never rerun.
+    exception raised by ``fn`` propagates; the job is never rerun.  A
+    MemoryError or a dead worker becomes ResourceCapError.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+    try:
+        if workers <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        return _run_in_pool(fn, tasks, workers)
+    except MemoryError:
+        raise ResourceCapError("out of memory; use a smaller set or fewer workers") from None
+
+
+def _run_in_pool(fn, tasks, workers):
+    # Imported here: inline runs need not pay for the pool machinery.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
     except (OSError, NotImplementedError):
         # No semaphores or process support here (restricted sandboxes).
         return [fn(t) for t in tasks]
-    with pool:
-        return list(pool.map(fn, tasks))
+    try:
+        with pool:
+            return list(pool.map(fn, tasks))
+    except BrokenProcessPool as exc:
+        raise ResourceCapError(
+            f"a worker process died ({exc}); use a smaller set or fewer workers") from None

@@ -9,11 +9,13 @@ The central objects for a bivariate g and a finite set A:
                     (denominator convention b1 - b2, so support(Q) = -X)
 
 Enumeration is organized per slope pair over the scaled table of the line
-family (lines._scaled_family), so g is evaluated only |A|^2 times; within
-a slope pair only the distinct column values matter (with multiplicities
-for the histogram).  Everything is exact integer arithmetic after clearing
-denominators once.  The chain computes Q once and reads X off as -support(Q);
-the set kernel behind quotient_set serves the experiments that need X alone.
+family (LineMultiset.table), so g is evaluated only |A|^2 times; within a
+slope pair only the distinct column values matter (with multiplicities for
+the histogram).  Everything is exact integer arithmetic after clearing
+denominators once.  quadruple_histogram takes the family itself:
+verify_chain builds it once and hands the same family to the histogram
+and to the crossing aggregation, and reads X off as -support(Q).  The set
+kernel behind quotient_set(g, A) serves the experiments that need X alone.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
-from .lines import (build_lines, crossing_weights, vertical_section, DEFAULT_POINT_CAP,
-                    _fold_scale, _scaled_family)
-from .parallel import chunk_ranges, run_chunks
+from .lines import (LineMultiset, build_lines, crossing_weights, vertical_section,
+                    DEFAULT_POINT_CAP, _fold_scale, _slope_pair_tasks)
+from .parallel import run_chunks
 from .polynomials import Poly, degeneracy_test
 from .sets import GroundSet, SetSpec, generate_set
 
@@ -86,7 +88,7 @@ class QuadrupleHistogram:
 
 # -- slope-pair kernels ---------------------------------------------------
 #
-# Both kernels walk the table of lines._scaled_family, whose intercepts are
+# Both kernels walk LineMultiset.table, whose intercepts are
 # c = -g(a, b).  For u = g(a1, b_i) and v = g(a2, b_j), u - v = c_j - c_i,
 # so each kernel forms c_i - c_j and puts the sign into the denominator it
 # hands to _fold_scale.
@@ -152,20 +154,12 @@ def _histogram_chunk(args):
     return out
 
 
-def _slope_pair_tasks(g: Poly, ground: GroundSet, workers: int):
-    table = _scaled_family(build_lines(g, ground, ground))
-    n = len(table[0])
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [table + (pairs[start:stop],)
-            for start, stop in chunk_ranges(len(pairs), workers)]
-
-
 def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     """All values (g(a1,b1) - g(a2,b2))/(b2 - b1) over quadruples from A
     with b1 != b2, deduplicated.  Empty when |A| < 2."""
     if len(ground) < 2:
         return QuotientSet(())
-    tasks = _slope_pair_tasks(g, ground, workers)
+    tasks = _slope_pair_tasks(build_lines(g, ground, ground).table, workers)
     parts = run_chunks(_quotient_chunk, tasks, workers)
     merged: set[tuple[int, int]] = set()
     for part in parts:
@@ -173,21 +167,16 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     return QuotientSet(Fraction(p, q) for p, q in merged)
 
 
-def quadruple_histogram(g: Poly, ground: GroundSet, workers: int = 1) -> QuadrupleHistogram:
-    """Exact Q(x); verifies total = |A|^3 (|A| - 1) before returning."""
-    n = len(ground)
-    if n < 2:
-        return QuadrupleHistogram({})
-    tasks = _slope_pair_tasks(g, ground, workers)
-    parts = run_chunks(_histogram_chunk, tasks, workers)
+def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
+    """Exact Q(x) over the family of g on A x A (build_lines(g, A, A)).
+
+    The total is not checked here: verify_chain compares it with
+    |A|^3 (|A| - 1) computed from |A|, independently of the table."""
+    parts = run_chunks(_histogram_chunk, _slope_pair_tasks(family.table, workers), workers)
     merged: dict[tuple[int, int], int] = {}
     for part in parts:
         for key, w in part.items():
             merged[key] = merged.get(key, 0) + w
-    total = sum(merged.values())
-    if total != n ** 3 * (n - 1):
-        raise InternalCheckError(
-            f"histogram total {total} != |A|^3(|A|-1) = {n ** 3 * (n - 1)}")
     return QuadrupleHistogram({Fraction(p, q): w for (p, q), w in merged.items()})
 
 
@@ -287,40 +276,38 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
             energy_bound_ratio_excl_zero=None, inferred_lower_bound=0.0,
             histogram=QuadrupleHistogram({}), links={"empty_instance": True})
 
-    hist = quadruple_histogram(g, ground, workers=workers)
+    family = build_lines(g, ground, ground)
+    hist = quadruple_histogram(family, workers=workers)
     quadruple_total = hist.total
+    if quadruple_total != n ** 3 * (n - 1):
+        raise InternalCheckError(
+            f"histogram total {quadruple_total} != |A|^3(|A|-1) = {n ** 3 * (n - 1)}")
     size_x = len(hist)
 
-    family = build_lines(g, ground, ground)
     t2 = family.squared_multiplicity_total()
     weights = crossing_weights(family, workers=workers, memory_cap=memory_cap)
 
     support_keys = {(x.numerator, x.denominator): q for x, q in hist.counts.items()}
-    per_x: dict[tuple[int, int], list[int]] = {}
+    per_x: dict[tuple[int, int], int] = {}  # sum of n^2 - sum(m^2) at x
     cross_total = 0
     max_point_weight = 0
-    for (xp, xq, _yp, _yq), (pn, sqm, cross) in weights.items():
-        rec = per_x.get((xp, xq))
-        if rec is None:
-            per_x[(xp, xq)] = [pn * pn, sqm]
-        else:
-            rec[0] += pn * pn
-            rec[1] += sqm
+    for (xp, xq, _yp, _yq), pn, sqm, cross in weights:
+        per_x[(xp, xq)] = per_x.get((xp, xq), 0) + pn * pn - sqm
         cross_total += cross
         if pn > max_point_weight:
             max_point_weight = pn
 
-    if set(per_x) != set(support_keys):
+    if per_x.keys() != support_keys.keys():
         raise InternalCheckError("crossing abscissas differ from histogram support")
     for key, q in support_keys.items():
-        n2, sqm = per_x[key]
-        if n2 - sqm != q:
+        if per_x[key] != q:
             raise InternalCheckError(
                 f"per-abscissa quadruple identity failed at {Fraction(*key)}")
     if 2 * cross_total != quadruple_total:
         raise InternalCheckError("global pair accounting failed")
 
-    energy_support = sum(n2 + t2 - sqm for n2, sqm in per_x.values())
+    # at each x, sum_y n^2 = (sum of n^2 - sum m^2 over its crossing points) + t2
+    energy_support = sum(per_x.values()) + len(per_x) * t2
     if energy_support != quadruple_total + len(hist) * t2:
         raise InternalCheckError("energy identity failed over the support")
 

@@ -123,7 +123,7 @@ def test_criterion_4_conservation_identities():
         for _ in range(5):
             x = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
             assert sum(vertical_section(family, x).values()) == n * n
-        hist = quadruple_histogram(g, ground)
+        hist = quadruple_histogram(family)
         assert hist.total == n ** 3 * (n - 1)
         assert {-x for x in hist.support} == quotient_set(g, ground).as_set()
     report_line(4, True, "mass, quadruple-count, and sign-bridge identities "
@@ -137,9 +137,9 @@ def test_criterion_5_oracle_equivalence():
         g = random_polynomial(rng, max_degree=4, require_x=bool(k % 3))
         ground = random_ground_set(rng, rng.randint(2, 8), rational=bool(k % 2))
         assert quotient_set(g, ground).as_set() == brute_quotient_set(g, ground)
-        assert quadruple_histogram(g, ground).counts == \
-            brute_quadruple_histogram(g, ground)
         family = build_lines(g, ground, ground)
+        assert quadruple_histogram(family).counts == \
+            brute_quadruple_histogram(g, ground)
         xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
         xs += [pm.point[0] for pm in intersection_points(family)[:3]]
         assert energy_restricted(family, xs) == brute_energy(g, ground, ground, xs)

@@ -3,8 +3,9 @@ import json
 import subprocess
 import sys
 
-from quotlab import quotients
+from quotlab import lines, quotients
 from quotlab.cli import main
+from quotlab.polynomials import Poly
 
 G_X = '[{"c":"1","i":1,"j":0}]'
 G_Y2 = '[{"c":"1","i":0,"j":2}]'
@@ -88,6 +89,45 @@ def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
     assert calls == {"histogram": 1, "quotient": 0}
     rows = list(csv.reader(hist_path.open()))
     assert len(rows) - 1 == report["results"]["size_x"]
+
+
+def test_chain_builds_the_line_family_once(tmp_path, monkeypatch):
+    calls = {"build_lines": 0, "evaluate": 0}
+    build_lines, evaluate = lines.build_lines, Poly.evaluate
+
+    def counted_build(*args, **kwargs):
+        calls["build_lines"] += 1
+        return build_lines(*args, **kwargs)
+
+    def counted_evaluate(self, point):
+        calls["evaluate"] += 1
+        return evaluate(self, point)
+
+    for module in (lines, quotients):
+        monkeypatch.setattr(module, "build_lines", counted_build)
+    monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
+                           "--workers", "1")
+    assert code == 0
+    assert calls == {"build_lines": 1, "evaluate": 3 * 3}
+    assert report["results"]["size_x"] > 0
+
+
+def test_failed_internal_check_exits_four(tmp_path, monkeypatch, capsys):
+    kernel = quotients._histogram_chunk
+
+    def drops_one_count(args):
+        out = kernel(args)
+        key = next(iter(out))
+        out[key] -= 1
+        return out
+
+    monkeypatch.setattr(quotients, "_histogram_chunk", drops_one_count)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
+                           "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert "internal check failed: histogram total" in capsys.readouterr().err
 
 
 def test_rich_points_report_and_csv(tmp_path):

@@ -39,11 +39,13 @@ def test_build_lines_four_distinct():
 
 
 def test_build_lines_merges_equal_lines():
-    family = build_lines(G_Y2, GroundSet.of(1, 2), GroundSet.of(3))
+    ground_a, ground_b = GroundSet.of(1, 2), GroundSet.of(3)
+    family = build_lines(G_Y2, ground_a, ground_b)
     assert len(family) == 1
     line = family.lines[0]
     assert (line.slope, line.intercept, line.multiplicity) == (frac(3), frac(-9), 2)
-    assert sorted(line.tags) == [(frac(1), frac(3)), (frac(2), frac(3))]
+    # both source pairs (1, 3) and (2, 3) give exactly this line
+    assert instance_lines(G_Y2, ground_a, ground_b) == [(line.slope, line.intercept)] * 2
 
 
 def test_build_lines_singleton():
@@ -264,7 +266,9 @@ def test_master_pair_accounting(seed):
     ground_b = random_ground_set(rng, rng.randint(2, 4))
     family = build_lines(g, ground_a, ground_b)
     from quotlab.lines import crossing_weights
-    total = sum(n * n - sqm for n, sqm, _ in crossing_weights(family).values())
+    weights = crossing_weights(family)
+    total = sum(n * n - sqm for _key, n, sqm, _cross in weights)
+    assert len(weights) == len(intersection_points(family))
     na, nb = len(ground_a), len(ground_b)
     assert total == na * na * nb * (nb - 1)
 

@@ -1,7 +1,9 @@
 import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from quotlab.errors import ResourceCapError
 from quotlab.parallel import run_chunks
 
 
@@ -56,3 +58,25 @@ def test_kernel_error_propagates_without_a_rerun(monkeypatch):
     with pytest.raises(ValueError, match="bad task 1"):
         run_chunks(failing, tasks, workers=2)
     assert calls == tasks
+
+
+class DeadWorkerPool(InlinePool):
+    """A pool whose worker was killed: reading results raises
+    BrokenProcessPool, as the real pool does after an OOM kill."""
+
+    def map(self, fn, tasks):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+
+def test_dead_worker_is_a_resource_cap_error(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadWorkerPool)
+    with pytest.raises(ResourceCapError, match="worker process died"):
+        run_chunks(square, [1, 2, 3], workers=2)
+
+
+def test_memory_error_is_a_resource_cap_error():
+    def exhausted(task):
+        raise MemoryError
+
+    with pytest.raises(ResourceCapError, match="out of memory"):
+        run_chunks(exhausted, [1, 2], workers=1)

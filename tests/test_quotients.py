@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotlab.errors import DegenerateError, InputError
+from quotlab.lines import build_lines
 from quotlab.polynomials import Poly
 from quotlab.quotients import (exponent_scan, fit_loglog_slope,
                                quadruple_histogram, quotient_set, verify_chain)
@@ -28,6 +29,10 @@ def frac(p, q=1):
 
 def interval(*values):
     return GroundSet.of(*values)
+
+
+def histogram(g, ground, workers=1):
+    return quadruple_histogram(build_lines(g, ground, ground), workers=workers)
 
 
 # -- quotient sets -----------------------------------------------------------
@@ -82,18 +87,18 @@ def test_quotient_set_workers_equivalent():
 # -- quadruple histogram -------------------------------------------------------
 
 def test_histogram_worked_example():
-    hist = quadruple_histogram(G_X, interval(0, 1))
+    hist = histogram(G_X, interval(0, 1))
     assert hist.counts == {frac(-1): 2, frac(0): 4, frac(1): 2}
     assert hist.total == 8
 
 
 def test_histogram_collapsed_quadratic():
-    hist = quadruple_histogram(G_Y2, interval(1, 2))
+    hist = histogram(G_Y2, interval(1, 2))
     assert hist.counts == {frac(3): 8}
 
 
 def test_histogram_singleton_empty():
-    assert len(quadruple_histogram(G_X, interval(5))) == 0
+    assert len(histogram(G_X, interval(5))) == 0
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -102,7 +107,7 @@ def test_histogram_matches_brute_force(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng, require_x=False)
     ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
-    assert quadruple_histogram(g, ground).counts == brute_quadruple_histogram(g, ground)
+    assert histogram(g, ground).counts == brute_quadruple_histogram(g, ground)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -111,7 +116,7 @@ def test_histogram_conservation_and_bridge(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng)
     ground = random_ground_set(rng, rng.randint(2, 7))
-    hist = quadruple_histogram(g, ground)
+    hist = histogram(g, ground)
     n = len(ground)
     assert hist.total == n ** 3 * (n - 1)
     assert {-x for x in hist.support} == quotient_set(g, ground).as_set()
@@ -119,8 +124,8 @@ def test_histogram_conservation_and_bridge(seed):
 
 def test_histogram_workers_equivalent():
     ground = interval(*range(1, 8))
-    base = quadruple_histogram(G_XY, ground, workers=1)
-    assert quadruple_histogram(G_XY, ground, workers=4).counts == base.counts
+    base = histogram(G_XY, ground, workers=1)
+    assert histogram(G_XY, ground, workers=4).counts == base.counts
 
 
 # -- verification chain ---------------------------------------------------------
@@ -160,7 +165,7 @@ def test_chain_zero_in_support_handling():
     ground = interval(1, 2, 3)
     report = verify_chain(G_X, ground)
     assert report.zero_in_support
-    hist = quadruple_histogram(G_X, ground)
+    hist = histogram(G_X, ground)
     drop = hist[frac(0)] + report.squared_multiplicity_total
     assert report.energy_support_excl_zero == report.energy_support - drop
 
