@@ -3,42 +3,36 @@ growth-exponent experiments over finite rational sets."""
 
 from .reports import TOOL_VERSION as __version__
 
-from .rationals import (Rational, normalize, parse_rational, format_rational,
-                        compare, as_rational)
+from .rationals import parse_rational, format_rational, as_rational
 from .polynomials import (Poly, DegeneracyVerdict, bivariate_from_terms,
-                          bivariate_to_terms, degeneracy_test, divide_by_linear,
-                          pair_difference, slice_difference,
-                          slope_difference_divisor)
+                          bivariate_to_terms, degeneracy_test, slice_difference)
 from .sets import GroundSet, SetSpec, generate_set
 from .lines import (Line, LineMultiset, PointMultiplicity, RichPointReport,
                     IncidenceReport, build_lines, vertical_section,
-                    intersection_points, energy_restricted, rich_points,
+                    crossing_weights, intersection_points, energy_restricted,
                     rich_point_reports, incidences)
 from .quotients import (QuotientSet, QuadrupleHistogram, ChainReport,
                         ScanReport, quotient_set, quadruple_histogram,
                         verify_chain, exponent_scan, fit_loglog_slope)
-from .bisectors import (PlanarPoint, InterceptSet, bisector_y_intercept,
-                        bisector_intercept_set, intercept_quotient_poly)
+from .bisectors import (InterceptSet, bisector_intercept_set,
+                        intercept_quotient_poly)
 from .errors import (QuotlabError, InputError, DegenerateError,
                      ResourceCapError, InternalCheckError)
 
 __all__ = [
     "__version__",
-    "Rational", "normalize", "parse_rational", "format_rational", "compare",
-    "as_rational",
+    "parse_rational", "format_rational", "as_rational",
     "Poly", "DegeneracyVerdict", "bivariate_from_terms", "bivariate_to_terms",
-    "degeneracy_test", "divide_by_linear", "pair_difference",
-    "slice_difference", "slope_difference_divisor",
+    "degeneracy_test", "slice_difference",
     "GroundSet", "SetSpec", "generate_set",
     "Line", "LineMultiset", "PointMultiplicity", "RichPointReport",
-    "IncidenceReport", "build_lines", "vertical_section",
-    "intersection_points", "energy_restricted", "rich_points",
-    "rich_point_reports", "incidences",
+    "IncidenceReport", "build_lines", "vertical_section", "crossing_weights",
+    "intersection_points", "energy_restricted", "rich_point_reports",
+    "incidences",
     "QuotientSet", "QuadrupleHistogram", "ChainReport", "ScanReport",
     "quotient_set", "quadruple_histogram", "verify_chain", "exponent_scan",
     "fit_loglog_slope",
-    "PlanarPoint", "InterceptSet", "bisector_y_intercept",
-    "bisector_intercept_set", "intercept_quotient_poly",
+    "InterceptSet", "bisector_intercept_set", "intercept_quotient_poly",
     "QuotlabError", "InputError", "DegenerateError", "ResourceCapError",
     "InternalCheckError",
 ]

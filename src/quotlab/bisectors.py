@@ -7,8 +7,10 @@ y-axis at
 
 which is also the difference quotient of the quadratic
 g(x, y) = -(x^2 + y^2)/2 at the pair, so the full intercept set equals
-the quotient set of that polynomial over A.  Both facts are re-derived
-geometrically (midpoint + perpendicular slope) and cross-checked.
+the quotient set of that polynomial over A.  The closed form is the one
+production path; the tests check it against the midpoint-plus-
+perpendicular construction, and the CLI compares the set with the
+quotient set on every run.
 """
 
 from __future__ import annotations
@@ -16,48 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .parallel import chunk_ranges, run_chunks
 from .polynomials import Poly
 from .rationals import scaled_ints
 from .sets import GroundSet
 
 
-class PlanarPoint(NamedTuple):
-    x: Fraction
-    y: Fraction
-
-
 def intercept_quotient_poly() -> Poly:
     """The quadratic whose difference-quotient set matches the bisector
     intercepts: g(x, y) = -(x^2 + y^2)/2 (machine-checked in the tests)."""
     return Poly(2, {(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
-
-
-def bisector_y_intercept(p: PlanarPoint | tuple, q: PlanarPoint | tuple) -> Fraction:
-    """y-axis crossing of the perpendicular bisector of segment pq.
-
-    Requires p.y != q.y (otherwise the bisector is vertical or the pair
-    is degenerate).  The closed form is asserted against the
-    midpoint-plus-perpendicular-slope construction on every call.
-    """
-    px, py = p
-    qx, qy = q
-    if px == qx and py == qy:
-        raise InputError("coincident points have no bisector")
-    if py == qy:
-        raise InputError("bisector parallel to y-axis or point pair degenerate")
-    closed = ((qx * qx - px * px) + (qy * qy - py * py)) / (2 * (qy - py))
-
-    mid_x = (px + qx) / 2
-    mid_y = (py + qy) / 2
-    slope = -(qx - px) / (qy - py)
-    constructed = mid_y - slope * mid_x
-    if constructed != closed:
-        raise InternalCheckError("bisector intercept construction mismatch")
-    return closed
 
 
 @dataclass(frozen=True)
@@ -106,15 +78,10 @@ def _intercept_chunk(args):
     return out, skipped
 
 
-def bisector_intercept_set(ground: GroundSet, workers: int = 1,
-                           cross_check: bool = False) -> InterceptSet:
+def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
     """All y-axis intercepts of bisectors of distinct grid points p, q in
     A x A with p.y != q.y (each unordered pair once; the intercept is
-    symmetric in p and q).
-
-    ``cross_check`` additionally recomputes every intercept through
-    ``bisector_y_intercept`` (closed form + construction) and compares.
-    """
+    symmetric in p and q)."""
     if len(ground) < 2:
         raise InputError("bisector experiment needs |A| >= 2")
     scaled, la = scaled_ints(list(ground.values))
@@ -130,18 +97,6 @@ def bisector_intercept_set(ground: GroundSet, workers: int = 1,
         merged |= part
         skipped += part_skipped
     values = tuple(sorted(Fraction(p, q) for p, q in merged))
-
-    if cross_check:
-        grid = [PlanarPoint(a, b) for a in ground for b in ground]
-        reference = set()
-        for i in range(len(grid)):
-            for j in range(i + 1, len(grid)):
-                if grid[i].y != grid[j].y:
-                    reference.add(bisector_y_intercept(grid[i], grid[j]))
-        if reference != set(values):
-            raise InternalCheckError("scaled intercept kernel disagrees with "
-                                     "the per-pair construction")
-
     return InterceptSet(values=values, grid_size=n_pts,
                         pairs_considered=len(pairs) - skipped,
                         pairs_skipped=skipped)

@@ -246,8 +246,8 @@ def _run(argv) -> int:
             raise InputError("rich-points requires field 'thresholds'")
         ground = generate_set(spec)
         family = lines.build_lines(g, ground, ground)
-        rows = lines.rich_point_reports(family, thresholds, workers=workers,
-                                        memory_cap=memory_cap)
+        weights = lines.crossing_weights(family, workers=workers, memory_cap=memory_cap)
+        rows = lines.rich_point_reports(family, thresholds, weights)
         results = {
             "size_a": len(ground),
             "total_weight": family.total_weight,
@@ -258,10 +258,8 @@ def _run(argv) -> int:
                            for r in rows],
         }
         if getattr(args, "points_out", None):
-            pts = lines.intersection_points(family, workers=workers,
-                                            memory_cap=memory_cap)
             reports.write_csv(args.points_out, ["x", "y", "n"],
-                              reports.points_csv_rows(pts))
+                              reports.points_csv_rows(lines.intersection_points(weights)))
     elif experiment == "incidences":
         raw_points = config.get("points")
         if raw_points is None:

@@ -75,11 +75,6 @@ class LineMultiset:
         self.total_weight = sum(l.multiplicity for l in self.lines)
         self._table = None
 
-    @classmethod
-    def from_weighted(cls, entries: Iterable[tuple[Fraction, Fraction, int]]) -> "LineMultiset":
-        """Build directly from (slope, intercept, multiplicity) rows."""
-        return cls([Line(slope, intercept, mult) for slope, intercept, mult in entries])
-
     def __len__(self) -> int:
         return len(self.lines)
 
@@ -314,10 +309,8 @@ class IncidenceReport:
     total_weight: int
 
 
-def intersection_points(family: LineMultiset, workers: int = 1,
-                        memory_cap: int | None = DEFAULT_POINT_CAP) -> list[PointMultiplicity]:
-    """All points on >= 2 distinct lines, sorted by (x, y), with n(x, y)."""
-    weights = crossing_weights(family, workers=workers, memory_cap=memory_cap)
+def intersection_points(weights: CrossingPoints) -> list[PointMultiplicity]:
+    """The points of ``crossing_weights``, sorted by (x, y), with n(x, y)."""
     out = [PointMultiplicity((Fraction(xp, xq), Fraction(yp, yq)), n)
            for (xp, xq, yp, yq), n, _sqm, _cross in weights]
     out.sort(key=lambda pm: pm.point)
@@ -345,23 +338,14 @@ def energy_restricted(family: LineMultiset, abscissas: Iterable[Fraction],
     return energy
 
 
-def rich_points(family: LineMultiset, threshold: int, workers: int = 1,
-                memory_cap: int | None = DEFAULT_POINT_CAP) -> RichPointReport:
-    """Count points with n(x, y) >= threshold; threshold must be >= 2."""
-    reports = rich_point_reports(family, [threshold], workers=workers,
-                                 memory_cap=memory_cap)
-    return reports[0]
-
-
 def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
-                       workers: int = 1,
-                       memory_cap: int | None = DEFAULT_POINT_CAP) -> list[RichPointReport]:
-    """Rich-point counts for several thresholds from one enumeration."""
+                       weights: CrossingPoints) -> list[RichPointReport]:
+    """Rich-point counts of ``family`` for several thresholds, read off its
+    ``crossing_weights``."""
     for t in thresholds:
         if not isinstance(t, int) or t < 2:
             raise InputError("rich-point threshold must be an integer >= 2 "
                              "(points on fewer than 2 distinct lines are not materialized)")
-    weights = crossing_weights(family, workers=workers, memory_cap=memory_cap)
     ns = sorted(n for _key, n, _sqm, _cross in weights)
     w2 = family.total_weight ** 2
     out = []

@@ -2,16 +2,16 @@
 
 ``Poly`` stores a map from exponent tuples to nonzero Fraction
 coefficients.  Bivariate polynomials g(x, y) are the main clients; the
-generic arity exists so that the divisibility oracle can work in the
-four-variable ring of g(x1, y1) - g(x2, y2).
+generic arity carries the slice difference in (x1, x2, y) and the
+degenerate cofactor in (x1, x2, y1, y2), which the verdict prints.
 
 The central question answered here: is the pair difference
 g(x1, y1) - g(x2, y2) divisible by y2 - y1?  Because the divisor is
 linear and monic in y2, divisibility holds exactly when substituting
 y2 := y1 annihilates the difference, i.e. when g(x1, y) - g(x2, y) is
-the zero polynomial, i.e. when g has no term that involves x.  The
-substitution route is the production path; explicit long division by
-the linear divisor is kept as an independent oracle.
+the zero polynomial, i.e. when g has no term that involves x.  That
+substitution is the only decision route; long division by y2 - y1 lives
+in the test oracles as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .rationals import as_rational, format_rational
 
 # Variable name conventions by arity, used only for printing.
@@ -41,10 +41,9 @@ class Poly:
 
     __slots__ = ("nvars", "terms", "names")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None,
-                 names: tuple[str, ...] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.nvars = nvars
-        self.names = names or _DEFAULT_NAMES.get(nvars) or tuple(f"x{i}" for i in range(nvars))
+        self.names = _DEFAULT_NAMES.get(nvars) or tuple(f"x{i}" for i in range(nvars))
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -57,24 +56,6 @@ class Poly:
                     clean[tuple(exps)] = c
         self.terms = clean
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: as_rational(value)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Poly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
-    # -- structure ------------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -83,79 +64,6 @@ class Poly:
         if not self.terms:
             return None
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, var: int) -> int | None:
-        if not self.terms:
-            return None
-        return max(e[var] for e in self.terms)
-
-    def coeff_of(self, var: int, power: int) -> "Poly":
-        """Coefficient polynomial of var**power (var's exponent zeroed)."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[var] == power:
-                reduced = list(exps)
-                reduced[var] = 0
-                out[tuple(reduced)] = coeff
-        return Poly(self.nvars, out, self.names)
-
-    def shifted(self, var: int, power: int) -> "Poly":
-        """Multiply by var**power."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            raised = list(exps)
-            raised[var] += power
-            out[tuple(raised)] = coeff
-        return Poly(self.nvars, out, self.names)
-
-    def constant_value(self) -> Fraction | None:
-        """The Fraction value if this polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and (0,) * self.nvars in self.terms:
-            return self.terms[(0,) * self.nvars]
-        return None
-
-    # -- arithmetic -----------------------------------------------------
-
-    def _check_arity(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise InputError("arity mismatch between polynomials")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_arity(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = out.get(exps, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Poly(self.nvars, out, self.names)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()}, self.names)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            scalar = as_rational(other)
-            return Poly(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.names)
-        self._check_arity(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Poly(self.nvars, out, self.names)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
@@ -231,20 +139,7 @@ def bivariate_to_terms(g: Poly) -> list[dict]:
             for e, c in sorted(g.terms.items())]
 
 
-# -- pair difference, slice difference, divisibility --------------------
-
-
-def pair_difference(g: Poly) -> Poly:
-    """g(x1, y1) - g(x2, y2) in the four-variable ring (x1, x2, y1, y2)."""
-    if g.nvars != 2:
-        raise InputError("expected a bivariate polynomial")
-    out: dict[tuple[int, int, int, int], Fraction] = {}
-    for (i, j), c in g.terms.items():
-        k1 = (i, 0, j, 0)
-        k2 = (0, i, 0, j)
-        out[k1] = out.get(k1, Fraction(0)) + c
-        out[k2] = out.get(k2, Fraction(0)) - c
-    return Poly(4, {k: v for k, v in out.items() if v != 0})
+# -- slice difference and the x-dependence verdict -----------------------
 
 
 def slice_difference(g: Poly) -> Poly:
@@ -261,47 +156,6 @@ def slice_difference(g: Poly) -> Poly:
     return Poly(3, {k: v for k, v in out.items() if v != 0})
 
 
-def slope_difference_divisor() -> Poly:
-    """The linear divisor y2 - y1 in the four-variable ring."""
-    return Poly(4, {(0, 0, 0, 1): Fraction(1), (0, 0, 1, 0): Fraction(-1)})
-
-
-def divide_by_linear(h: Poly, divisor: Poly) -> tuple[Poly, Poly]:
-    """Exact division h = divisor * quotient + remainder.
-
-    The divisor must have degree exactly 1 in its leading variable (the
-    highest-index variable it involves) with a constant coefficient
-    there; the remainder is then free of that variable.  This is the
-    independent oracle behind the x-dependence test.
-    """
-    if h.nvars != divisor.nvars:
-        raise InputError("arity mismatch between dividend and divisor")
-    involved = [v for v in range(divisor.nvars) if (divisor.degree_in(v) or 0) > 0]
-    if not involved:
-        raise InputError("divisor is constant")
-    lead = max(involved)
-    if divisor.degree_in(lead) != 1:
-        raise InputError("divisor must be linear in its leading variable")
-    lead_coeff = divisor.coeff_of(lead, 1).constant_value()
-    if lead_coeff is None or lead_coeff == 0:
-        raise InputError("leading coefficient of divisor must be a nonzero constant")
-
-    quotient = Poly.zero(h.nvars)
-    remainder = h
-    while True:
-        k = remainder.degree_in(lead)
-        if k is None or k < 1:
-            break
-        step = remainder.coeff_of(lead, k) * (Fraction(1) / lead_coeff)
-        step = step.shifted(lead, k - 1)
-        quotient = quotient + step
-        remainder = remainder - step * divisor
-    return quotient, remainder
-
-
-# -- the x-dependence (divisibility) verdict -----------------------------
-
-
 @dataclass(frozen=True)
 class DegeneracyVerdict:
     degenerate: bool
@@ -311,26 +165,19 @@ class DegeneracyVerdict:
 def degeneracy_test(g: Poly) -> DegeneracyVerdict:
     """Decide whether y2 - y1 divides g(x1, y1) - g(x2, y2).
 
-    Production criterion: the slice difference g(x1, y) - g(x2, y) is
+    The criterion: the slice difference g(x1, y) - g(x2, y) is
     identically zero, which happens exactly when g has no term involving
     x.  When the verdict is "degenerate" the witness carries the exact
-    cofactor q with g(x1,y1) - g(x2,y2) = (y2 - y1) * q, recomputed by
-    long division (remainder checked to be zero, so the two routes
-    cross-validate on every degenerate call).
+    cofactor q with g(x1,y1) - g(x2,y2) = (y2 - y1) * q, in closed form:
+    each term c*y^j gives -c * sum over k < j of y1^k * y2^(j-1-k).
     """
     if g.nvars != 2:
         raise InputError("expected a bivariate polynomial")
     diff = slice_difference(g)
     if diff.is_zero():
-        quotient, remainder = divide_by_linear(pair_difference(g), slope_difference_divisor())
-        if not remainder.is_zero():
-            raise InternalCheckError("substitution and division criteria disagree")
+        cofactor = Poly(4, {(0, 0, k, j - 1 - k): -c
+                            for (_, j), c in g.terms.items() for k in range(j)})
         witness = (f"g has no x-dependent term; "
-                   f"g(x1,y1) - g(x2,y2) = (y2 - y1) * ({quotient})")
+                   f"g(x1,y1) - g(x2,y2) = (y2 - y1) * ({cofactor})")
         return DegeneracyVerdict(True, witness)
     return DegeneracyVerdict(False, f"g(x1,y) - g(x2,y) = {diff}, not identically zero")
-
-
-def depends_on_x(g: Poly) -> bool:
-    """Structural form of the criterion: some term has positive x-exponent."""
-    return any(e[0] > 0 for e in g.terms)

@@ -6,30 +6,21 @@ reduced eagerly on construction, with denominator > 0 and zero stored as
 sort keys and dict/set keys in the hot enumeration loops.
 
 The module adds the strict text form used by config and report files
-("p/q", or "p" when the denominator is 1) and integer-pair helpers that
-the kernels use to stay in plain ``int`` arithmetic (same canonical form,
-much less overhead than Fraction objects).
+("p/q", or "p" when the denominator is 1) and ``scaled_ints``, which the
+kernels use to stay in plain ``int`` arithmetic (much less overhead than
+Fraction objects).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
-
-
-def normalize(p: int, q: int) -> Fraction:
-    """Canonical rational p/q; rejects q = 0."""
-    if q == 0:
-        raise InputError("zero denominator")
-    return Fraction(p, q)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,15 +42,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def compare(a: Fraction, b: Fraction) -> int:
-    """Total order consistent with the reals: -1, 0, or +1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def as_rational(value) -> Fraction:
     """Coerce int / str / Fraction into a canonical Fraction."""
     if isinstance(value, Fraction):
@@ -71,20 +53,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise InputError(f"not a rational value: {value!r}")
-
-
-def canonical_pair(p: int, q: int) -> tuple[int, int]:
-    """Reduced (numerator, positive denominator) pair for p/q.
-
-    Integer-only twin of ``normalize`` used inside kernels; q must be
-    nonzero (callers guarantee it).
-    """
-    if q < 0:
-        p, q = -p, -q
-    if p == 0:
-        return (0, 1)
-    g = gcd(p, q)
-    return (p // g, q // g)
 
 
 def scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -53,24 +52,20 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Non
             writer.writerow(row)
 
 
-def rational_cell(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def points_csv_rows(points) -> Iterable[tuple]:
     """Rows (x, y, n) for the sorted crossing-point stream."""
     for pm in points:
-        yield (rational_cell(pm.point[0]), rational_cell(pm.point[1]), pm.count)
+        yield (format_rational(pm.point[0]), format_rational(pm.point[1]), pm.count)
 
 
 def histogram_csv_rows(hist) -> Iterable[tuple]:
     for x, q in hist.counts.items():
-        yield (rational_cell(x), q)
+        yield (format_rational(x), q)
 
 
 def values_csv_rows(values) -> Iterable[tuple]:
     for v in values:
-        yield (rational_cell(v),)
+        yield (format_rational(v),)
 
 
 def scan_csv_rows(scan) -> Iterable[tuple]:

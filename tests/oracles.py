@@ -1,8 +1,9 @@
 """Naive reference implementations used as independent oracles.
 
-Everything here walks raw quadruples / instance pairs with Fraction
-arithmetic and no shared code with the production kernels, so a match is
-meaningful.  Only usable at small |A| (quartic loops).
+Everything here walks raw quadruples / instance pairs, builds bisectors
+geometrically, or long-divides polynomials held as plain exponent dicts,
+with Fraction arithmetic and no shared code with the production kernels,
+so a match is meaningful.  Only usable at small |A| (quartic loops).
 """
 
 from __future__ import annotations
@@ -109,6 +110,110 @@ def brute_bisector_intercepts(ground: GroundSet) -> set[Fraction]:
     return out
 
 
+def bisector_y_intercept(p, q) -> Fraction:
+    """y-axis crossing of the perpendicular bisector of segment pq, built
+    from the midpoint and the perpendicular slope; the closed form is
+    asserted equal on every call."""
+    px, py = p
+    qx, qy = q
+    if px == qx and py == qy:
+        raise ValueError("coincident points have no bisector")
+    if py == qy:
+        raise ValueError("bisector parallel to y-axis or point pair degenerate")
+    mid_x = (px + qx) / 2
+    mid_y = (py + qy) / 2
+    slope = -(qx - px) / (qy - py)
+    constructed = mid_y - slope * mid_x
+    closed = ((qx * qx - px * px) + (qy * qy - py * py)) / (2 * (qy - py))
+    assert constructed == closed, "bisector construction disagrees with closed form"
+    return constructed
+
+
+def constructed_bisector_intercepts(ground: GroundSet) -> set[Fraction]:
+    """Intercepts of every grid pair with distinct y, per pair through
+    ``bisector_y_intercept``."""
+    grid = [(a, b) for a in ground for b in ground]
+    return {bisector_y_intercept(grid[i], grid[j])
+            for i in range(len(grid)) for j in range(i + 1, len(grid))
+            if grid[i][1] != grid[j][1]}
+
+
+# -- polynomial long division over exponent dicts ----------------------------
+#
+# Polynomials here are plain {exponent tuple: Fraction} dicts with no zero
+# coefficients, so the division shares no code with quotlab.polynomials.
+
+# y2 - y1 in the ring (x1, x2, y1, y2)
+SLOPE_DIFFERENCE = {(0, 0, 0, 1): Fraction(1), (0, 0, 1, 0): Fraction(-1)}
+
+
+def _accumulate(out: dict, exps: tuple, coeff: Fraction) -> None:
+    s = out.get(exps, Fraction(0)) + coeff
+    if s == 0:
+        out.pop(exps, None)
+    else:
+        out[exps] = s
+
+
+def poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exps, coeff in b.items():
+        _accumulate(out, exps, coeff)
+    return out
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _accumulate(out, tuple(u + v for u, v in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def pair_difference(g: Poly) -> dict:
+    """g(x1, y1) - g(x2, y2) in the ring (x1, x2, y1, y2)."""
+    out: dict = {}
+    for (i, j), c in g.terms.items():
+        _accumulate(out, (i, 0, j, 0), c)
+        _accumulate(out, (0, i, 0, j), -c)
+    return out
+
+
+def divide_by_linear(h: dict, divisor: dict) -> tuple[dict, dict]:
+    """Long division h = divisor * quotient + remainder.
+
+    The divisor must be linear in its leading variable (the highest-index
+    variable it involves) with a nonzero constant coefficient there; the
+    remainder is then free of that variable.
+    """
+    involved = [v for exps in divisor for v, e in enumerate(exps) if e > 0]
+    if not involved:
+        raise ValueError("divisor is constant")
+    lead = max(involved)
+    if max(exps[lead] for exps in divisor) != 1:
+        raise ValueError("divisor must be linear in its leading variable")
+    lead_terms = [(exps, c) for exps, c in divisor.items() if exps[lead] == 1]
+    if len(lead_terms) != 1 or sum(lead_terms[0][0]) != 1:
+        raise ValueError("leading coefficient of divisor must be a nonzero constant")
+    lead_coeff = lead_terms[0][1]
+
+    quotient: dict = {}
+    remainder = dict(h)
+    while True:
+        k = max((exps[lead] for exps in remainder), default=0)
+        if k < 1:
+            break
+        step = {}
+        for exps, c in remainder.items():
+            if exps[lead] == k:
+                lowered = list(exps)
+                lowered[lead] = k - 1
+                step[tuple(lowered)] = c / lead_coeff
+        quotient = poly_add(quotient, step)
+        remainder = poly_add(remainder, {e: -c for e, c in poly_mul(step, divisor).items()})
+    return quotient, remainder
+
+
 # -- seeded random instances ------------------------------------------------
 
 
@@ -138,6 +243,18 @@ def random_polynomial(rng: random.Random, max_degree: int = 4,
         j = rng.randint(0, max_degree - 1)
         coeff = Fraction(rng.randint(1, 5))
         terms[(rng.randint(1, max_degree - j), j)] = coeff
+    return Poly(2, terms)
+
+
+def random_x_free_polynomial(rng: random.Random, max_degree: int = 4) -> Poly:
+    """Random polynomial in y alone, i.e. one that fails the divisibility
+    hypothesis; 1 to 4 nonzero terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        coeff = Fraction(0)
+        while coeff == 0:
+            coeff = random_fraction(rng, span=5, max_den=3)
+        terms[(0, rng.randint(0, max_degree))] = coeff
     return Poly(2, terms)
 
 

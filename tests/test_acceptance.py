@@ -16,21 +16,21 @@ from fractions import Fraction
 import pytest
 
 from quotlab.cli import main as cli_main
-from quotlab.lines import (build_lines, energy_restricted, incidences,
-                           intersection_points, rich_point_reports,
+from quotlab.lines import (build_lines, crossing_weights, energy_restricted,
+                           incidences, intersection_points, rich_point_reports,
                            vertical_section)
 from quotlab.bisectors import (bisector_intercept_set, intercept_quotient_poly)
-from quotlab.polynomials import (Poly, bivariate_to_terms, degeneracy_test,
-                                 divide_by_linear, pair_difference,
-                                 slope_difference_divisor)
+from quotlab.polynomials import Poly, bivariate_to_terms, degeneracy_test
 from quotlab.quotients import (exponent_scan, fit_loglog_slope,
                                quadruple_histogram, quotient_set, verify_chain)
 from quotlab.rationals import format_rational
 from quotlab.sets import GroundSet, SetSpec
 
-from oracles import (brute_bisector_intercepts, brute_energy,
+from oracles import (SLOPE_DIFFERENCE, brute_bisector_intercepts, brute_energy,
                      brute_incidences, brute_quadruple_histogram,
-                     brute_quotient_set, random_ground_set, random_polynomial)
+                     brute_quotient_set, constructed_bisector_intercepts,
+                     divide_by_linear, pair_difference, random_ground_set,
+                     random_polynomial)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -141,11 +141,12 @@ def test_criterion_5_oracle_equivalence():
         assert quadruple_histogram(family).counts == \
             brute_quadruple_histogram(g, ground)
         xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
-        xs += [pm.point[0] for pm in intersection_points(family)[:3]]
+        crossings = intersection_points(crossing_weights(family))
+        xs += [pm.point[0] for pm in crossings[:3]]
         assert energy_restricted(family, xs) == brute_energy(g, ground, ground, xs)
         pts = [(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
                for _ in range(8)]
-        pts += [pm.point for pm in intersection_points(family)[:3]]
+        pts += [pm.point for pm in crossings[:3]]
         weighted = [(l.slope, l.intercept, l.multiplicity) for l in family]
         assert incidences(pts, family).count == brute_incidences(pts, weighted)
         checked += 1
@@ -155,13 +156,12 @@ def test_criterion_5_oracle_equivalence():
     xs = [Fraction(v) for v in range(-3, 4)]
     assert energy_restricted(family, xs) == brute_energy(G_XY, ga, gb, xs)
 
-    ell = slope_difference_divisor()
     agreements = 0
     div_rng = random.Random(5151)
     for k in range(100):
         g = random_polynomial(div_rng, max_degree=4, require_x=bool(k % 2))
-        _, remainder = divide_by_linear(pair_difference(g), ell)
-        assert degeneracy_test(g).degenerate == remainder.is_zero()
+        _, remainder = divide_by_linear(pair_difference(g), SLOPE_DIFFERENCE)
+        assert degeneracy_test(g).degenerate == (remainder == {})
         agreements += 1
     report_line(5, True, f"{checked} instances match the quartic-loop oracles "
                          f"exactly; degeneracy matches division on {agreements} "
@@ -224,9 +224,10 @@ def test_criterion_6_companion_measured_behaviour():
 def test_criterion_7_rich_point_decay():
     ground = interval(16)
     family = build_lines(G_XY, ground, ground)
-    max_weight = max(pm.count for pm in intersection_points(family))
+    weights = crossing_weights(family)
+    max_weight = max(pm.count for pm in intersection_points(weights))
     thresholds = list(range(2, max_weight + 2))
-    reports = rich_point_reports(family, thresholds)
+    reports = rich_point_reports(family, thresholds, weights)
     counts = [r.count for r in reports]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert reports[-1].threshold == max_weight + 1
@@ -243,8 +244,9 @@ def test_criterion_8_bisector_corollary():
         rng = random.Random(8800 + k)
         ground = random_ground_set(rng, rng.randint(2, 12) if k else 12,
                                    rational=bool(k % 2))
-        intercepts = bisector_intercept_set(ground, cross_check=True)
+        intercepts = bisector_intercept_set(ground)
         assert intercepts.as_set() == brute_bisector_intercepts(ground)
+        assert intercepts.as_set() == constructed_bisector_intercepts(ground)
         assert intercepts.as_set() == quotient_set(quadratic, ground).as_set()
     # the sign-flipped scaled variant -2(x^2 - y^2) is refuted on a witness
     witness = GroundSet.of(0, 1, 3)

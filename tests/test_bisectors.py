@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotlab.bisectors import (PlanarPoint, bisector_intercept_set,
-                               bisector_y_intercept, intercept_quotient_poly)
+from quotlab.bisectors import bisector_intercept_set, intercept_quotient_poly
 from quotlab.errors import InputError
 from quotlab.polynomials import Poly
 from quotlab.quotients import quotient_set
 from quotlab.sets import GroundSet
 
-from oracles import brute_bisector_intercepts, random_ground_set
+from oracles import (brute_bisector_intercepts, bisector_y_intercept,
+                     constructed_bisector_intercepts, random_ground_set)
 
 
 def frac(p, q=1):
@@ -20,7 +20,7 @@ def frac(p, q=1):
 
 
 def point(x, y):
-    return PlanarPoint(Fraction(x), Fraction(y))
+    return (Fraction(x), Fraction(y))
 
 
 def test_intercept_vertical_segment():
@@ -36,12 +36,12 @@ def test_intercept_worked_formula():
 
 
 def test_intercept_rejects_equal_y():
-    with pytest.raises(InputError, match="parallel"):
+    with pytest.raises(ValueError, match="parallel"):
         bisector_y_intercept(point(0, 1), point(5, 1))
 
 
 def test_intercept_rejects_coincident_points():
-    with pytest.raises(InputError, match="coincident"):
+    with pytest.raises(ValueError, match="coincident"):
         bisector_y_intercept(point(2, 3), point(2, 3))
 
 
@@ -52,7 +52,7 @@ coords = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 def test_intercept_symmetry(px, py, qx, qy):
     if py == qy:
         return
-    p, q = PlanarPoint(px, py), PlanarPoint(qx, qy)
+    p, q = (px, py), (qx, qy)
     assert bisector_y_intercept(p, q) == bisector_y_intercept(q, p)
 
 
@@ -61,7 +61,7 @@ def test_intercept_lies_on_the_bisector(px, py, qx, qy):
     # equidistance from both endpoints, checked on squared distances
     if py == qy:
         return
-    s = bisector_y_intercept(PlanarPoint(px, py), PlanarPoint(qx, qy))
+    s = bisector_y_intercept((px, py), (qx, qy))
     d_p = px * px + (s - py) ** 2
     d_q = qx * qx + (s - qy) ** 2
     assert d_p == d_q
@@ -69,8 +69,9 @@ def test_intercept_lies_on_the_bisector(px, py, qx, qy):
 
 def test_intercept_set_minimal_case():
     ground = GroundSet.of(0, 1)
-    intercepts = bisector_intercept_set(ground, cross_check=True)
+    intercepts = bisector_intercept_set(ground)
     assert intercepts.as_set() == brute_bisector_intercepts(ground)
+    assert intercepts.as_set() == constructed_bisector_intercepts(ground)
     assert intercepts.grid_size == 4
     # unordered pairs of 4 grid points: 6, of which 2 share a y-coordinate
     assert intercepts.pairs_considered == 4
@@ -95,8 +96,9 @@ def test_intercept_set_workers_equivalent():
 def test_intercept_set_matches_brute_force(seed):
     rng = random.Random(seed)
     ground = random_ground_set(rng, rng.randint(2, 5), rational=bool(seed % 2))
-    intercepts = bisector_intercept_set(ground, cross_check=True)
+    intercepts = bisector_intercept_set(ground)
     assert intercepts.as_set() == brute_bisector_intercepts(ground)
+    assert intercepts.as_set() == constructed_bisector_intercepts(ground)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -24,7 +24,12 @@ def test_degeneracy_degenerate_polynomial(tmp_path):
     code, report = run_cli(tmp_path, "degeneracy", "--g", G_Y2)
     assert code == 0
     assert report["schema"] == 1
-    assert report["results"]["degenerate"] is True
+    assert report["results"] == {
+        "degenerate": True,
+        "total_degree": 2,
+        "witness": "g has no x-dependent term; "
+                   "g(x1,y1) - g(x2,y2) = (y2 - y1) * (-y1 - y2)",
+    }
     assert report["tool"]["name"] == "quotlab"
 
 
@@ -142,6 +147,25 @@ def test_rich_points_report_and_csv(tmp_path):
     assert rows[0] == ["x", "y", "n"]
     assert rows[1:] == [["-1", "-1", "2"], ["0", "-1", "2"],
                         ["0", "0", "2"], ["1", "0", "2"]]
+
+
+def test_rich_points_aggregates_the_crossings_once(tmp_path, monkeypatch):
+    calls = []
+    crossing_weights = lines.crossing_weights
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return crossing_weights(*args, **kwargs)
+
+    monkeypatch.setattr(lines, "crossing_weights", counted)
+    pts_path = tmp_path / "points.csv"
+    code, report = run_cli(tmp_path, "rich-points", "--g", G_XY, "--set", AP3,
+                           "--thresholds", "2", "--points-out", str(pts_path),
+                           "--workers", "1")
+    assert code == 0
+    assert len(calls) == 1
+    rows = list(csv.reader(pts_path.open()))
+    assert report["results"]["thresholds"][0]["count"] == len(rows) - 1
 
 
 def test_rich_points_threshold_below_two_is_input_error(tmp_path):

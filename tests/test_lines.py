@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotlab.errors import InputError, ResourceCapError
-from quotlab.lines import (LineMultiset, build_lines, energy_restricted,
-                           incidences, intersection_points, rich_points,
-                           vertical_section)
+from quotlab.lines import (Line, LineMultiset, build_lines, crossing_weights,
+                           energy_restricted, incidences, intersection_points,
+                           rich_point_reports, vertical_section)
 from quotlab.polynomials import Poly
 from quotlab.sets import GroundSet
 
@@ -25,6 +25,14 @@ A01 = GroundSet.of(0, 1)
 
 def frac(p, q=1):
     return Fraction(p, q)
+
+
+def points(family, **kwargs):
+    return intersection_points(crossing_weights(family, **kwargs))
+
+
+def rich(family, t):
+    return rich_point_reports(family, [t], crossing_weights(family))[0]
 
 
 # -- building the family -----------------------------------------------------
@@ -91,7 +99,7 @@ def test_vertical_mass_conservation(seed):
 # -- intersection enumeration -------------------------------------------------
 
 def test_intersection_points_worked_example():
-    pts = intersection_points(build_lines(G_X, A01, A01))
+    pts = points(build_lines(G_X, A01, A01))
     assert [(p.point, p.count) for p in pts] == [
         ((frac(-1), frac(-1)), 2),
         ((frac(0), frac(-1)), 2),
@@ -101,14 +109,14 @@ def test_intersection_points_worked_example():
 
 
 def test_single_slope_class_has_no_intersections():
-    family = LineMultiset.from_weighted([(frac(2), frac(c), 1) for c in range(5)])
-    assert intersection_points(family) == []
+    family = LineMultiset([Line(frac(2), frac(c), 1) for c in range(5)])
+    assert points(family) == []
 
 
 def test_three_concurrent_lines():
-    family = LineMultiset.from_weighted([
-        (frac(1), frac(0), 1), (frac(2), frac(0), 1), (frac(-1), frac(0), 1)])
-    pts = intersection_points(family)
+    family = LineMultiset([Line(frac(1), frac(0), 1), Line(frac(2), frac(0), 1),
+                           Line(frac(-1), frac(0), 1)])
+    pts = points(family)
     assert [(p.point, p.count) for p in pts] == [((frac(0), frac(0)), 3)]
 
 
@@ -121,23 +129,23 @@ def test_intersections_match_brute_force(seed):
     ground_b = random_ground_set(rng, rng.randint(2, 4))
     family = build_lines(g, ground_a, ground_b)
     expected = brute_intersection_points(g, ground_a, ground_b)
-    got = {pm.point: pm.count for pm in intersection_points(family)}
+    got = {pm.point: pm.count for pm in points(family)}
     assert got == expected
 
 
 def test_intersections_deterministic_across_workers():
     ground = GroundSet.of(*range(8))
     family = build_lines(G_XY, ground, ground)
-    baseline = intersection_points(family, workers=1)
+    baseline = points(family, workers=1)
     for workers in (2, 4):
-        assert intersection_points(family, workers=workers) == baseline
+        assert points(family, workers=workers) == baseline
 
 
 def test_memory_cap_enforced():
     ground = GroundSet.of(*range(6))
     family = build_lines(G_X, ground, ground)
     with pytest.raises(ResourceCapError):
-        intersection_points(family, memory_cap=3)
+        crossing_weights(family, memory_cap=3)
 
 
 # -- energy ---------------------------------------------------------------
@@ -184,25 +192,25 @@ def test_energy_matches_brute_force(seed):
 
 def test_rich_points_worked_example():
     family = build_lines(G_X, A01, A01)
-    report = rich_points(family, 2)
+    report = rich(family, 2)
     assert report.count == 4
     assert report.bound_ratio == Fraction(4 * 8, 16)
-    assert rich_points(family, 3).count == 0
+    assert rich(family, 3).count == 0
 
 
 def test_rich_points_rejects_threshold_below_two():
     family = build_lines(G_X, A01, A01)
     with pytest.raises(InputError):
-        rich_points(family, 1)
+        rich(family, 1)
 
 
 def test_rich_points_decay():
     ground = GroundSet.of(*range(1, 9))
     family = build_lines(G_XY, ground, ground)
-    counts = [rich_points(family, t).count for t in range(2, 12)]
+    counts = [rich(family, t).count for t in range(2, 12)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    max_n = max((p.count for p in intersection_points(family)), default=0)
-    assert rich_points(family, max_n + 1).count == 0
+    max_n = max((p.count for p in points(family)), default=0)
+    assert rich(family, max_n + 1).count == 0
 
 
 def test_rich_points_empty_above_degree_cap():
@@ -211,20 +219,20 @@ def test_rich_points_empty_above_degree_cap():
     ground = GroundSet.of(*range(1, 6))
     family = build_lines(G_X, ground, ground)
     assert family.max_multiplicity == 1
-    assert rich_points(family, len(ground) + 1).count == 0
+    assert rich(family, len(ground) + 1).count == 0
 
 
 # -- incidences -------------------------------------------------------------
 
 def test_incidences_single_point():
-    family = LineMultiset.from_weighted([
-        (frac(0), frac(0), 1), (frac(1), frac(0), 1), (frac(0), frac(1), 1)])
+    family = LineMultiset([Line(frac(0), frac(0), 1), Line(frac(1), frac(0), 1),
+                           Line(frac(0), frac(1), 1)])
     report = incidences([(frac(0), frac(0))], family)
     assert report.count == 2
 
 
 def test_incidences_empty_points():
-    family = LineMultiset.from_weighted([(frac(0), frac(0), 1)])
+    family = LineMultiset([Line(frac(0), frac(0), 1)])
     assert incidences([], family).count == 0
 
 
@@ -232,7 +240,7 @@ def test_incidences_grid_with_weighted_horizontals():
     # vertical lines are out of scope, so "6 lines, 3 grid points each" is
     # realized as the 3 horizontals of the grid carried with multiplicity 2
     grid = [(frac(i), frac(j)) for i in range(3) for j in range(3)]
-    family = LineMultiset.from_weighted([(frac(0), frac(j), 2) for j in range(3)])
+    family = LineMultiset([Line(frac(0), frac(j), 2) for j in range(3)])
     report = incidences(grid, family)
     assert family.total_weight == 6
     assert report.count == 18
@@ -265,10 +273,9 @@ def test_master_pair_accounting(seed):
     ground_a = random_ground_set(rng, rng.randint(1, 4))
     ground_b = random_ground_set(rng, rng.randint(2, 4))
     family = build_lines(g, ground_a, ground_b)
-    from quotlab.lines import crossing_weights
     weights = crossing_weights(family)
     total = sum(n * n - sqm for _key, n, sqm, _cross in weights)
-    assert len(weights) == len(intersection_points(family))
+    assert len(weights) == len(intersection_points(weights))
     na, nb = len(ground_a), len(ground_b)
     assert total == na * na * nb * (nb - 1)
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from quotlab.errors import InputError
 from quotlab.polynomials import (Poly, bivariate_from_terms, bivariate_to_terms,
-                                 degeneracy_test, depends_on_x,
-                                 divide_by_linear, pair_difference,
-                                 slice_difference, slope_difference_divisor)
+                                 degeneracy_test, slice_difference)
 
-from oracles import random_polynomial
+from oracles import (SLOPE_DIFFERENCE, divide_by_linear, pair_difference,
+                     poly_add, poly_mul, random_polynomial,
+                     random_x_free_polynomial)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -40,7 +40,7 @@ def test_evaluate_mixed_rational_point():
 def test_total_degree():
     assert Poly(2, {(3, 2): frac(1)}).total_degree() == 5
     assert Poly(2, {(0, 0): frac(7)}).total_degree() == 0
-    assert Poly.zero(2).total_degree() is None
+    assert Poly(2).total_degree() is None
 
 
 @given(st.fractions(max_denominator=10), st.fractions(max_denominator=10))
@@ -48,8 +48,11 @@ def test_evaluation_is_additive(x, y):
     rng = random.Random(hash((x, y)) & 0xFFFF)
     g = random_polynomial(rng, require_x=False)
     h = random_polynomial(rng, require_x=False)
+    total = dict(g.terms)
+    for exps, coeff in h.terms.items():
+        total[exps] = total.get(exps, 0) + coeff
     point = (x, y)
-    assert (g + h).evaluate(point) == g.evaluate(point) + h.evaluate(point)
+    assert Poly(2, total).evaluate(point) == g.evaluate(point) + h.evaluate(point)
 
 
 # -- JSON term lists ---------------------------------------------------------
@@ -78,36 +81,36 @@ def test_bivariate_json_bad_fields_rejected():
 
 def test_divide_difference_of_squares():
     # y1^2 - y2^2 = (y2 - y1) * (-(y1 + y2)), remainder 0
-    h = Poly(4, {(0, 0, 2, 0): frac(1), (0, 0, 0, 2): frac(-1)})
-    q, r = divide_by_linear(h, slope_difference_divisor())
-    assert r.is_zero()
-    assert q == Poly(4, {(0, 0, 1, 0): frac(-1), (0, 0, 0, 1): frac(-1)})
+    h = {(0, 0, 2, 0): frac(1), (0, 0, 0, 2): frac(-1)}
+    q, r = divide_by_linear(h, SLOPE_DIFFERENCE)
+    assert r == {}
+    assert q == {(0, 0, 1, 0): frac(-1), (0, 0, 0, 1): frac(-1)}
 
 
 def test_divide_independent_dividend():
-    h = Poly(4, {(1, 0, 0, 0): frac(1), (0, 1, 0, 0): frac(-1)})  # x1 - x2
-    q, r = divide_by_linear(h, slope_difference_divisor())
-    assert q.is_zero()
+    h = {(1, 0, 0, 0): frac(1), (0, 1, 0, 0): frac(-1)}  # x1 - x2
+    q, r = divide_by_linear(h, SLOPE_DIFFERENCE)
+    assert q == {}
     assert r == h
 
 
 def test_divide_constructed_multiple():
-    factor = Poly(4, {(1, 0, 1, 0): frac(1)})  # x1*y1
-    h = slope_difference_divisor() * factor
-    q, r = divide_by_linear(h, slope_difference_divisor())
-    assert r.is_zero()
+    factor = {(1, 0, 1, 0): frac(1)}  # x1*y1
+    h = poly_mul(SLOPE_DIFFERENCE, factor)
+    q, r = divide_by_linear(h, SLOPE_DIFFERENCE)
+    assert r == {}
     assert q == factor
 
 
 def test_divide_rejects_constant_divisor():
-    with pytest.raises(InputError, match="constant"):
-        divide_by_linear(Poly.constant(4, 1), Poly.constant(4, 2))
+    with pytest.raises(ValueError, match="constant"):
+        divide_by_linear({(0, 0, 0, 0): frac(1)}, {(0, 0, 0, 0): frac(2)})
 
 
 def test_divide_rejects_quadratic_divisor():
-    quad = Poly(4, {(0, 0, 0, 2): frac(1)})
-    with pytest.raises(InputError, match="linear"):
-        divide_by_linear(Poly.constant(4, 1), quad)
+    quad = {(0, 0, 0, 2): frac(1)}
+    with pytest.raises(ValueError, match="linear"):
+        divide_by_linear({(0, 0, 0, 0): frac(1)}, quad)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -115,10 +118,9 @@ def test_divide_reconstructs_dividend(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng, require_x=False)
     h = pair_difference(g)
-    ell = slope_difference_divisor()
-    q, r = divide_by_linear(h, ell)
-    assert ell * q + r == h
-    assert r.degree_in(3) in (None, 0)  # remainder free of the lead variable
+    q, r = divide_by_linear(h, SLOPE_DIFFERENCE)
+    assert poly_add(poly_mul(SLOPE_DIFFERENCE, q), r) == h
+    assert all(exps[3] == 0 for exps in r)  # remainder free of the lead variable
 
 
 # -- degeneracy --------------------------------------------------------------
@@ -141,8 +143,8 @@ def test_degeneracy_xy():
 
 
 def test_degeneracy_zero_and_constant():
-    assert degeneracy_test(Poly.zero(2)).degenerate
-    assert degeneracy_test(Poly.constant(2, 5)).degenerate
+    assert degeneracy_test(Poly(2)).degenerate
+    assert degeneracy_test(Poly(2, {(0, 0): 5})).degenerate
 
 
 def test_degenerate_witness_carries_certificate():
@@ -150,12 +152,39 @@ def test_degenerate_witness_carries_certificate():
     assert "-y1 - y2" in verdict.witness
 
 
+DEGENERATE = "g has no x-dependent term; g(x1,y1) - g(x2,y2) = (y2 - y1) * "
+
+
+def test_witness_text_is_pinned():
+    cases = [
+        (Poly(2), DEGENERATE + "(0)"),
+        (Poly(2, {(0, 0): 5}), DEGENERATE + "(0)"),
+        (G_Y2, DEGENERATE + "(-y1 - y2)"),
+        (Poly(2, {(0, 3): frac(1), (0, 1): frac(-2), (0, 0): frac(1, 2)}),
+         DEGENERATE + "(-y1^2 - y1*y2 - y2^2 + 2)"),
+        (G_XY, "g(x1,y) - g(x2,y) = x1*y - x2*y, not identically zero"),
+        (Poly(2, {(1, 0): frac(1), (0, 2): frac(1)}),
+         "g(x1,y) - g(x2,y) = x1 - x2, not identically zero"),
+    ]
+    for g, witness in cases:
+        assert degeneracy_test(g).witness == witness
+
+
 def test_hundred_random_polynomials_match_division_oracle():
     rng = random.Random(20260808)
-    ell = slope_difference_divisor()
     for k in range(100):
         g = random_polynomial(rng, max_degree=4, require_x=bool(k % 2))
         fast = degeneracy_test(g).degenerate
-        _, remainder = divide_by_linear(pair_difference(g), ell)
-        assert fast == remainder.is_zero()
-        assert fast == (not depends_on_x(g))
+        _, remainder = divide_by_linear(pair_difference(g), SLOPE_DIFFERENCE)
+        assert fast == (remainder == {})
+        assert fast == (not any(i > 0 for i, _ in g.terms))
+
+
+def test_x_free_witness_cofactor_matches_division_oracle():
+    rng = random.Random(4040)
+    for _ in range(120):
+        g = random_x_free_polynomial(rng, max_degree=5)
+        verdict = degeneracy_test(g)
+        quotient, remainder = divide_by_linear(pair_difference(g), SLOPE_DIFFERENCE)
+        assert verdict.degenerate and remainder == {}
+        assert verdict.witness == DEGENERATE + f"({Poly(4, quotient)})"

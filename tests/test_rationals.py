@@ -5,28 +5,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quotlab.errors import InputError
-from quotlab.rationals import (as_rational, canonical_pair, compare,
-                               format_rational, normalize, parse_rational,
+from quotlab.rationals import (as_rational, format_rational, parse_rational,
                                scaled_ints)
 
 
 def test_normalize_reduces():
-    assert normalize(2, 4) == Fraction(1, 2)
+    assert as_rational("2/4") == Fraction(1, 2)
 
 
 def test_normalize_canonicalizes_sign():
-    r = normalize(3, -6)
+    r = as_rational("-3/6")
     assert (r.numerator, r.denominator) == (-1, 2)
 
 
 def test_normalize_zero():
-    r = normalize(0, 5)
+    r = as_rational("0/5")
     assert (r.numerator, r.denominator) == (0, 1)
 
 
 def test_normalize_zero_denominator():
     with pytest.raises(InputError, match="zero denominator"):
-        normalize(1, 0)
+        as_rational("1/0")
 
 
 def test_arithmetic_examples():
@@ -37,9 +36,13 @@ def test_arithmetic_examples():
 
 
 def test_total_order_examples():
-    assert compare(Fraction(1, 3), Fraction(1, 2)) == -1
-    assert compare(Fraction(-1, 2), Fraction(-1, 2)) == 0
-    assert compare(Fraction(2), Fraction(3, 2)) == 1
+    # scaled integers sort exactly like the rationals they stand for
+    values = [Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2), Fraction(2),
+              Fraction(3, 2), Fraction(-2, 4)]
+    scaled, _ = scaled_ints(values)
+    assert scaled[2] == scaled[5]
+    order = range(len(values))
+    assert sorted(order, key=scaled.__getitem__) == sorted(order, key=values.__getitem__)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -82,13 +85,19 @@ def test_as_rational_rejects_bool_and_float():
        st.integers(min_value=-10**6, max_value=10**6).filter(lambda q: q != 0),
        st.integers(min_value=-50, max_value=50).filter(lambda k: k != 0))
 def test_normalize_scale_invariance(p, q, k):
-    assert normalize(p, q) == normalize(k * p, k * q)
+    # the text form carries the sign on the numerator only
+    if q < 0:
+        p, q = -p, -q
+    if k < 0:
+        k = -k
+    assert as_rational(f"{p}/{q}") == as_rational(f"{k * p}/{k * q}") == Fraction(p, q)
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
 def test_order_matches_cross_multiplication(a, b):
     sign = (a.numerator * b.denominator) - (b.numerator * a.denominator)
-    assert compare(a, b) == (sign > 0) - (sign < 0)
+    (sa, sb), _ = scaled_ints([a, b])
+    assert (sa > sb) - (sa < sb) == (sign > 0) - (sign < 0)
 
 
 @given(st.fractions(max_denominator=30), st.fractions(max_denominator=30),
@@ -99,14 +108,6 @@ def test_field_axioms_sampled(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == Fraction(0)
-
-
-@given(st.integers(min_value=-10**9, max_value=10**9),
-       st.integers(min_value=-10**9, max_value=10**9).filter(lambda q: q != 0))
-def test_canonical_pair_matches_fraction(p, q):
-    cp = canonical_pair(p, q)
-    f = Fraction(p, q)
-    assert cp == (f.numerator, f.denominator)
 
 
 @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=12))
