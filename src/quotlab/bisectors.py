@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, islice
 from math import gcd
 
 from .errors import InputError
@@ -49,12 +50,14 @@ class InterceptSet:
 
 
 def _intercept_chunk(args):
-    """Canonical intercept pairs for one chunk of grid point pairs.
+    """Canonical intercept pairs for one chunk of grid point pairs: the
+    index pairs i < j in [start, stop) of their lexicographic order.
 
     Grid coordinates arrive pre-scaled by la; the intercept of
     ((P1, P2), (Q1, Q2)) is (Q1^2 - P1^2 + Q2^2 - P2^2) / (2 la (Q2 - P2)).
     """
-    coords, la, index_pairs = args
+    coords, la, start, stop = args
+    index_pairs = islice(combinations(range(len(coords)), 2), start, stop)
     out: set[tuple[int, int]] = set()
     skipped = 0
     _gcd = gcd
@@ -87,9 +90,8 @@ def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
     scaled, la = scaled_ints(list(ground.values))
     coords = [(u, v) for u in scaled for v in scaled]
     n_pts = len(coords)
-    pairs = [(i, j) for i in range(n_pts) for j in range(i + 1, n_pts)]
-    tasks = [(coords, la, pairs[start:stop])
-             for start, stop in chunk_ranges(len(pairs), workers)]
+    n_pairs = n_pts * (n_pts - 1) // 2
+    tasks = [(coords, la, start, stop) for start, stop in chunk_ranges(n_pairs, workers)]
     parts = run_chunks(_intercept_chunk, tasks, workers)
     merged: set[tuple[int, int]] = set()
     skipped = 0
@@ -98,5 +100,5 @@ def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
         skipped += part_skipped
     values = tuple(sorted(Fraction(p, q) for p, q in merged))
     return InterceptSet(values=values, grid_size=n_pts,
-                        pairs_considered=len(pairs) - skipped,
+                        pairs_considered=n_pairs - skipped,
                         pairs_skipped=skipped)

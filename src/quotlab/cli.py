@@ -6,8 +6,9 @@ JSON config file (--config) with flags overriding individual fields, so
 a committed config reproduces a run exactly.
 
 Exit codes: 0 success, 1 usage/input error, 2 hypothesis violation,
-3 resource cap exceeded (including a worker process that died),
-4 internal check failed (an exact identity did not hold: a bug).
+3 resource limit (refused up front as too large for memory, out of
+memory, or a dead worker), 4 internal check failed (an exact identity
+did not hold: a bug).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ EXPERIMENTS = ("degeneracy", "quotient", "chain", "rich-points",
                "incidences", "exponent-scan", "bisector")
 
 _COMMON_FIELDS = {"experiment", "g", "set", "output", "workers",
-                  "memory_cap", "allow_degenerate", "seed"}
+                  "allow_degenerate", "seed"}
 _EXTRA_FIELDS = {
     "exponent-scan": {"sizes"},
     "rich-points": {"thresholds"},
@@ -76,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed of a random set spec")
-        p.add_argument("--memory-cap", type=int, default=None,
-                       help="max crossing-point entries before aborting (exit 3)")
         p.add_argument("--allow-degenerate", action="store_true", default=None,
                        help="permit degenerate g in quotient/exponent-scan runs")
         p.add_argument("--force-large", action="store_true",
@@ -138,8 +137,6 @@ def _merged_config(args) -> dict:
         config["output"] = args.out
     if args.workers is not None:
         config["workers"] = args.workers
-    if args.memory_cap is not None:
-        config["memory_cap"] = args.memory_cap
     if args.allow_degenerate is not None:
         config["allow_degenerate"] = True
     if args.seed is not None:
@@ -153,9 +150,6 @@ def _resolve(config: dict, args):
     workers = config.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise InputError("workers must be an integer >= 1")
-    memory_cap = config.get("memory_cap", lines.DEFAULT_POINT_CAP)
-    if not isinstance(memory_cap, int) or memory_cap < 1:
-        raise InputError("memory_cap must be an integer >= 1")
     allow_degenerate = bool(config.get("allow_degenerate", False))
 
     g = None
@@ -179,7 +173,7 @@ def _resolve(config: dict, args):
             raise InputError(
                 f"|A| = {largest} exceeds the desk-scale limit {DESK_SCALE_LIMIT} "
                 f"for {experiment} (quartic work); pass --force-large to proceed")
-    return g, spec, workers, memory_cap, allow_degenerate
+    return g, spec, workers, allow_degenerate
 
 
 def _parse_points(raw) -> list[tuple[Fraction, Fraction]]:
@@ -210,7 +204,7 @@ def _run(argv) -> int:
         parser.print_help()
         return 1
     config = _merged_config(args)
-    g, spec, workers, memory_cap, allow_degenerate = _resolve(config, args)
+    g, spec, workers, allow_degenerate = _resolve(config, args)
     experiment = config["experiment"]
     started = time.perf_counter()
 
@@ -234,8 +228,7 @@ def _run(argv) -> int:
                               reports.values_csv_rows(xset))
     elif experiment == "chain":
         ground = generate_set(spec)
-        report = quotients.verify_chain(g, ground, workers=workers,
-                                        memory_cap=memory_cap)
+        report = quotients.verify_chain(g, ground, workers=workers)
         results = report.to_dict()
         if getattr(args, "histogram_out", None):
             reports.write_csv(args.histogram_out, ["x", "count"],
@@ -246,7 +239,7 @@ def _run(argv) -> int:
             raise InputError("rich-points requires field 'thresholds'")
         ground = generate_set(spec)
         family = lines.build_lines(g, ground, ground)
-        weights = lines.crossing_weights(family, workers=workers, memory_cap=memory_cap)
+        weights = lines.crossing_weights(family, workers=workers)
         rows = lines.rich_point_reports(family, thresholds, weights)
         results = {
             "size_a": len(ground),

@@ -19,7 +19,7 @@ class DegenerateError(QuotlabError):
 
 
 class ResourceCapError(QuotlabError):
-    """A memory/entry cap was exceeded, memory ran out, or a worker died."""
+    """A run would not fit in memory, memory ran out, or a worker died."""
 
 
 class InternalCheckError(QuotlabError):

@@ -33,6 +33,7 @@ is applied in energy computations.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,12 +41,14 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .parallel import chunk_ranges, run_chunks
+from .parallel import chunk_ranges, run_chunks, uses_pool
 from .polynomials import Poly
 from .rationals import scaled_ints
 from .sets import GroundSet
 
-DEFAULT_POINT_CAP = 200_000_000
+# Peak RSS per crossing-point entry, rounded up from the general record
+# form (a 4-int list per point); the multiplicity-1 form needs less.
+ENTRY_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def _crossing_chunk(args):
     else {...: [pairs, mass, cross, sq_mass]}.  Top-level so process
     pools can pickle it.
     """
-    sb, lb, sc_lists, mult_lists, lc, pairs, fast, cap = args
+    sb, lb, sc_lists, mult_lists, lc, pairs, fast = args
     agg: dict = {}
     _gcd = gcd
     k_scale = lb * lc
@@ -207,13 +210,10 @@ def _crossing_chunk(args):
                         rec[1] += mi + mj
                         rec[2] += mi * mj
                         rec[3] += mi * mi + mj * mj
-        if cap is not None and len(agg) > cap:
-            raise ResourceCapError(
-                f"crossing-point aggregate exceeded cap of {cap} entries")
     return agg
 
 
-def _merge_crossings(parts: list[dict], fast: bool, cap: int | None) -> dict:
+def _merge_crossings(parts: list[dict], fast: bool) -> dict:
     total = parts[0] if parts else {}
     for part in parts[1:]:
         if fast:
@@ -222,16 +222,7 @@ def _merge_crossings(parts: list[dict], fast: bool, cap: int | None) -> dict:
         else:
             for key, rec in part.items():
                 base = total.get(key)
-                if base is None:
-                    total[key] = rec
-                else:
-                    base[0] += rec[0]
-                    base[1] += rec[1]
-                    base[2] += rec[2]
-                    base[3] += rec[3]
-        if cap is not None and len(total) > cap:
-            raise ResourceCapError(
-                f"crossing-point aggregate exceeded cap of {cap} entries")
+                total[key] = rec if base is None else [a + b for a, b in zip(base, rec)]
     return total
 
 
@@ -274,14 +265,43 @@ class CrossingPoints:
             yield (key, *_point_stats(rec, fast))
 
 
-def crossing_weights(family: LineMultiset, workers: int = 1,
-                     memory_cap: int | None = DEFAULT_POINT_CAP) -> CrossingPoints:
+def crossing_pair_count(family: LineMultiset) -> int:
+    """Pairs of distinct lines with different slopes: the sum over slope
+    classes i < j of |class i| * |class j|.  Each such pair meets in one
+    point, so this bounds the entries of the crossing aggregate."""
+    sizes = [len(cs) for cs in family.table[2]]
+    total = sum(sizes)
+    return (total * total - sum(s * s for s in sizes)) // 2
+
+
+def _memory_budget() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_crossing_memory(family: LineMultiset, workers: int) -> None:
+    """Refuse, before any kernel runs, a crossing aggregation whose estimated
+    peak exceeds physical memory.  A pool doubles the estimate: the workers'
+    partial aggregates and the parent's merged one each reach the bound."""
+    entries = crossing_pair_count(family)
+    n_classes = len(family.table[0])
+    pool_factor = 2 if uses_pool(n_classes * (n_classes - 1) // 2, workers) else 1
+    estimate, budget = entries * ENTRY_BYTES * pool_factor, _memory_budget()
+    if estimate > budget:
+        raise ResourceCapError(
+            f"crossing aggregation refused: estimated {estimate / 2 ** 30:.2f} GiB "
+            f"({entries} line pairs x {ENTRY_BYTES} B x {pool_factor}) exceeds the "
+            f"{budget / 2 ** 30:.2f} GiB of physical memory")
+
+
+def crossing_weights(family: LineMultiset, workers: int = 1) -> CrossingPoints:
     """Every point where >= 2 distinct lines meet, with (n, sum m^2,
     cross).  The result is independent of ``workers``."""
+    check_crossing_memory(family, workers)
     fast = family.max_multiplicity == 1
-    tasks = _slope_pair_tasks(family.table, workers, fast, memory_cap)
+    tasks = _slope_pair_tasks(family.table, workers, fast)
     parts = run_chunks(_crossing_chunk, tasks, workers)
-    return CrossingPoints(_merge_crossings(parts, fast, memory_cap), fast)
+    return CrossingPoints(_merge_crossings(parts, fast), fast)
 
 
 # -- public reports -------------------------------------------------------
@@ -318,8 +338,7 @@ def intersection_points(weights: CrossingPoints) -> list[PointMultiplicity]:
 
 
 def energy_restricted(family: LineMultiset, abscissas: Iterable[Fraction],
-                      workers: int = 1,
-                      memory_cap: int | None = DEFAULT_POINT_CAP) -> int:
+                      workers: int = 1) -> int:
     """Sum over x in ``abscissas`` of sum over all y of n(x, y)^2.
 
     Materialized crossing points contribute n^2; the remaining
@@ -331,8 +350,7 @@ def energy_restricted(family: LineMultiset, abscissas: Iterable[Fraction],
         return 0
     xset = frozenset((x.numerator, x.denominator) for x in xs)
     energy = family.squared_multiplicity_total() * len(xs)
-    for (xp, xq, _yp, _yq), n, sqm, _cross in crossing_weights(
-            family, workers=workers, memory_cap=memory_cap):
+    for (xp, xq, _yp, _yq), n, sqm, _cross in crossing_weights(family, workers=workers):
         if (xp, xq) in xset:
             energy += n * n - sqm
     return energy

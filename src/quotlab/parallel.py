@@ -34,6 +34,11 @@ def chunk_ranges(n_items: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def uses_pool(n_tasks: int, workers: int) -> bool:
+    """Whether run_chunks sends ``n_tasks`` tasks to a process pool."""
+    return workers > 1 and n_tasks > 1
+
+
 def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
     """Apply a picklable top-level function to each task, in task order.
 
@@ -43,7 +48,7 @@ def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R
     MemoryError or a dead worker becomes ResourceCapError.
     """
     try:
-        if workers <= 1 or len(tasks) <= 1:
+        if not uses_pool(len(tasks), workers):
             return [fn(t) for t in tasks]
         return _run_in_pool(fn, tasks, workers)
     except MemoryError:

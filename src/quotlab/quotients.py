@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
-from .lines import (LineMultiset, build_lines, crossing_weights, vertical_section,
-                    DEFAULT_POINT_CAP, _fold_scale, _slope_pair_tasks)
+from .lines import (LineMultiset, build_lines, check_crossing_memory, crossing_weights,
+                    vertical_section, _fold_scale, _slope_pair_tasks)
 from .parallel import run_chunks
 from .polynomials import Poly, degeneracy_test
 from .sets import GroundSet, SetSpec, generate_set
@@ -119,8 +119,9 @@ def _quotient_chunk(args):
 
 
 def _histogram_chunk(args):
-    """Canonical abscissa -> quadruple count for a chunk of slope pairs."""
-    sb, lb, sc_lists, mult_lists, lc, pairs = args
+    """Canonical abscissa -> quadruple count for a chunk of slope pairs;
+    each slope class arrives as its intercepts repeated by multiplicity."""
+    sb, lb, sc_lists, lc, pairs = args
     out: dict[tuple[int, int], int] = {}
     _gcd = gcd
     for i, j in pairs:
@@ -128,29 +129,18 @@ def _histogram_chunk(args):
         # unordered slope pair stands for both ordered pairs, which double
         # every count.
         mul, den = _fold_scale(lb, (sb[j] - sb[i]) * lc)
-        ci_list, mi_list = sc_lists[i], mult_lists[i]
-        cj_list, mj_list = sc_lists[j], mult_lists[j]
-        plain = all(m == 1 for m in mi_list) and all(m == 1 for m in mj_list)
-        if plain:
-            raw: Counter = Counter()
-            for ci in ci_list:
-                raw.update([ci - cj for cj in cj_list])
-            weighted = ((d, 2 * c) for d, c in raw.items())
-        else:
-            acc: dict[int, int] = {}
-            for ci, mi in zip(ci_list, mi_list):
-                for cj, mj in zip(cj_list, mj_list):
-                    d = ci - cj
-                    acc[d] = acc.get(d, 0) + mi * mj
-            weighted = ((d, 2 * c) for d, c in acc.items())
-        for d, w in weighted:
+        cj_list = sc_lists[j]
+        raw: Counter = Counter()
+        for ci in sc_lists[i]:
+            raw.update([ci - cj for cj in cj_list])
+        for d, c in raw.items():
             p = d * mul
             if p == 0:
                 key = (0, 1)
             else:
                 g1 = _gcd(p, den)
                 key = (p // g1, den // g1)
-            out[key] = out.get(key, 0) + w
+            out[key] = out.get(key, 0) + 2 * c
     return out
 
 
@@ -172,7 +162,11 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
-    parts = run_chunks(_histogram_chunk, _slope_pair_tasks(family.table, workers), workers)
+    sb, lb, sc_lists, mult_lists, lc = family.table
+    expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
+                for cs, ms in zip(sc_lists, mult_lists)]
+    tasks = _slope_pair_tasks((sb, lb, expanded, lc), workers)
+    parts = run_chunks(_histogram_chunk, tasks, workers)
     merged: dict[tuple[int, int], int] = {}
     for part in parts:
         for key, w in part.items():
@@ -216,31 +210,13 @@ class ChainReport:
 
     def to_dict(self) -> dict:
         from .rationals import format_rational
-        return {
-            "size_a": self.size_a,
-            "degree": self.degree,
-            "size_x": self.size_x,
-            "quadruple_total": self.quadruple_total,
-            "squared_multiplicity_total": self.squared_multiplicity_total,
-            "energy_support": self.energy_support,
-            "energy_support_excl_zero": self.energy_support_excl_zero,
-            "zero_in_support": self.zero_in_support,
-            "size_bound_ok": self.size_bound_ok,
-            "size_bound_limit": format_rational(self.size_bound_limit),
-            "max_line_multiplicity": self.max_line_multiplicity,
-            "line_multiplicity_within_degree": self.line_multiplicity_within_degree,
-            "max_point_weight": self.max_point_weight,
-            "point_weight_cap": self.point_weight_cap,
-            "point_weight_within_cap": self.point_weight_within_cap,
-            "energy_bound_ratio": self.energy_bound_ratio,
-            "energy_bound_ratio_excl_zero": self.energy_bound_ratio_excl_zero,
-            "inferred_lower_bound": self.inferred_lower_bound,
-            "links": dict(self.links),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
+        out["size_bound_limit"] = format_rational(self.size_bound_limit)
+        out["links"] = dict(self.links)
+        return out
 
 
-def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
-                 memory_cap: int | None = DEFAULT_POINT_CAP) -> ChainReport:
+def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     """Compute and cross-verify the full quadruple/energy chain.
 
     Checks performed exactly (any failure raises InternalCheckError):
@@ -277,6 +253,9 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
             histogram=QuadrupleHistogram({}), links={"empty_instance": True})
 
     family = build_lines(g, ground, ground)
+    # Refused runs stop before the histogram, which runs first so that its
+    # pool is not forked from a parent holding the crossing aggregate.
+    check_crossing_memory(family, workers)
     hist = quadruple_histogram(family, workers=workers)
     quadruple_total = hist.total
     if quadruple_total != n ** 3 * (n - 1):
@@ -285,7 +264,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1,
     size_x = len(hist)
 
     t2 = family.squared_multiplicity_total()
-    weights = crossing_weights(family, workers=workers, memory_cap=memory_cap)
+    weights = crossing_weights(family, workers=workers)
 
     support_keys = {(x.numerator, x.denominator): q for x, q in hist.counts.items()}
     per_x: dict[tuple[int, int], int] = {}  # sum of n^2 - sum(m^2) at x

@@ -11,6 +11,7 @@ its companion for the exact numbers.
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -221,21 +222,43 @@ def test_criterion_6_companion_measured_behaviour():
                           "sizes 8..32 are within bound")
 
 
-def test_criterion_7_rich_point_decay():
+def criterion7_reports():
+    """Rich-point reports of g = xy on {1..16} for t in [2, max weight + 1]."""
     ground = interval(16)
     family = build_lines(G_XY, ground, ground)
     weights = crossing_weights(family)
     max_weight = max(pm.count for pm in intersection_points(weights))
     thresholds = list(range(2, max_weight + 2))
-    reports = rich_point_reports(family, thresholds, weights)
+    return rich_point_reports(family, thresholds, weights), max_weight
+
+
+def check_rich_point_decay(reports, max_weight: int) -> None:
     counts = [r.count for r in reports]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert reports[-1].threshold == max_weight + 1
     assert reports[-1].count == 0
     assert all(isinstance(r.bound_ratio, Fraction) for r in reports)
     assert all(r.count > 0 for r in reports if r.threshold <= max_weight)
+
+
+def test_criterion_7_rich_point_decay():
+    reports, max_weight = criterion7_reports()
+    check_rich_point_decay(reports, max_weight)
     report_line(7, True, f"|R_t| non-increasing over t in [2, {max_weight + 1}], "
                          f"zero beyond max weight {max_weight}, exact ratios reported")
+
+
+def test_criterion_7_check_catches_seeded_defects():
+    reports, max_weight = criterion7_reports()
+    assert reports[-2].threshold == max_weight and reports[-2].count > 0
+    # no point reaches the maximum weight: still non-increasing, caught by
+    # the count >= 1 check alone
+    emptied = reports[:-2] + [replace(reports[-2], count=0), reports[-1]]
+    # more 3-rich points than 2-rich ones: positive, caught by monotonicity
+    rising = [reports[0], replace(reports[1], count=reports[0].count + 1), *reports[2:]]
+    for defect in (emptied, rising):
+        with pytest.raises(AssertionError):
+            check_rich_point_decay(defect, max_weight)
 
 
 def test_criterion_8_bisector_corollary():

@@ -86,9 +86,13 @@ def test_intercept_set_requires_two_elements():
 def test_intercept_set_workers_equivalent():
     ground = GroundSet.of(*range(5))
     base = bisector_intercept_set(ground, workers=1)
-    multi = bisector_intercept_set(ground, workers=4)
-    assert base.values == multi.values
-    assert base.pairs_skipped == multi.pairs_skipped
+    # 25 grid points give 300 pairs, cut into chunks of unequal length
+    assert base.pairs_considered + base.pairs_skipped == 300
+    for workers in (2, 3, 4, 7):
+        multi = bisector_intercept_set(ground, workers=workers)
+        assert base.values == multi.values
+        assert base.pairs_considered == multi.pairs_considered
+        assert base.pairs_skipped == multi.pairs_skipped
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -260,11 +260,62 @@ def test_missing_required_field_is_input_error(tmp_path):
     assert code == 1
 
 
-def test_memory_cap_exit_code(tmp_path):
-    code, _ = run_cli(tmp_path, "rich-points", "--g", G_X,
-                      "--set", '{"kind":"arithmetic","start":1,"step":1,"size":6}',
-                      "--thresholds", "2", "--memory-cap", "3")
+def count_kernel_calls(monkeypatch):
+    """Counts the calls of each slope-pair kernel a chain or rich-points
+    run can make (inline runs, so the counts are seen here)."""
+    calls = {"histogram": 0, "crossing": 0}
+
+    def counted(name, module, attr):
+        kernel = getattr(module, attr)
+
+        def call(args):
+            calls[name] += 1
+            return kernel(args)
+        monkeypatch.setattr(module, attr, call)
+
+    counted("histogram", quotients, "_histogram_chunk")
+    counted("crossing", lines, "_crossing_chunk")
+    return calls
+
+
+def test_memory_cap_exit_code(tmp_path, monkeypatch, capsys):
+    calls = count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(lines, "_memory_budget", lambda: 1000)
+    code, report = run_cli(tmp_path, "rich-points", "--g", G_X,
+                           "--set", '{"kind":"arithmetic","start":1,"step":1,"size":6}',
+                           "--thresholds", "2")
     assert code == 3
+    assert report is None
+    assert calls == {"histogram": 0, "crossing": 0}
+    assert "resource cap: crossing aggregation refused: estimated" in capsys.readouterr().err
+
+
+def test_chain_too_large_for_memory_is_refused_before_any_kernel(tmp_path, monkeypatch,
+                                                                 capsys):
+    calls = count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(lines, "_memory_budget", lambda: 7 * 2 ** 30)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY,
+                           "--set", '{"kind":"arithmetic","start":1,"step":1,"size":128}',
+                           "--workers", "1")
+    assert code == 3
+    assert report is None
+    assert calls == {"histogram": 0, "crossing": 0}
+    err = capsys.readouterr().err
+    assert "estimated" in err and "133169152 line pairs" in err and "7.00 GiB" in err
+
+
+def test_memory_cap_option_and_config_field_are_gone(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "rich-points", "--g", G_X, "--set", AP3,
+                      "--thresholds", "2", "--memory-cap", "3")
+    assert code == 1
+    assert "unrecognized arguments: --memory-cap" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "rich-points", "g": json.loads(G_X),
+                                  "set": json.loads(AP3), "thresholds": [2],
+                                  "memory_cap": 3}))
+    code, _ = run_cli(tmp_path, "rich-points", "--config", str(config))
+    assert code == 1
+    assert "unknown config field(s): ['memory_cap']" in capsys.readouterr().err
 
 
 def test_desk_scale_guardrail(tmp_path):

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotlab import lines
 from quotlab.errors import InputError, ResourceCapError
-from quotlab.lines import (Line, LineMultiset, build_lines, crossing_weights,
-                           energy_restricted, incidences, intersection_points,
-                           rich_point_reports, vertical_section)
+from quotlab.lines import (Line, LineMultiset, build_lines, check_crossing_memory,
+                           crossing_pair_count, crossing_weights, energy_restricted,
+                           incidences, intersection_points, rich_point_reports,
+                           vertical_section)
 from quotlab.polynomials import Poly
 from quotlab.sets import GroundSet
 
@@ -19,6 +22,10 @@ from oracles import (brute_energy, brute_incidences, brute_intersection_points,
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
 G_XY = Poly(2, {(1, 1): Fraction(1)})
+G_X_PLUS_Y2 = Poly(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)})
+G_X2_PLUS_Y = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
+
+SEVEN_GIB = 7 * 2 ** 30
 
 A01 = GroundSet.of(0, 1)
 
@@ -141,11 +148,50 @@ def test_intersections_deterministic_across_workers():
         assert points(family, workers=workers) == baseline
 
 
-def test_memory_cap_enforced():
+def test_memory_cap_enforced(monkeypatch):
     ground = GroundSet.of(*range(6))
     family = build_lines(G_X, ground, ground)
-    with pytest.raises(ResourceCapError):
-        crossing_weights(family, memory_cap=3)
+    calls = []
+    kernel = lines._crossing_chunk
+
+    def counted(args):
+        calls.append(args)
+        return kernel(args)
+
+    monkeypatch.setattr(lines, "_crossing_chunk", counted)
+    monkeypatch.setattr(lines, "_memory_budget", lambda: 1000)
+    # 6 slope classes of 6 lines: C(6, 2) * 36 = 540 line pairs
+    with pytest.raises(ResourceCapError, match=r"estimated .* GiB \(540 line pairs"):
+        crossing_weights(family)
+    assert calls == []
+    # a budget of exactly the inline estimate admits one worker, not a pool
+    monkeypatch.setattr(lines, "_memory_budget", lambda: 540 * lines.ENTRY_BYTES)
+    with pytest.raises(ResourceCapError, match=r"x 2\)"):
+        crossing_weights(family, workers=2)
+    assert calls == []
+    assert len(crossing_weights(family, workers=1)) > 0
+    assert len(calls) == 1
+
+
+def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():
+    for g, ground in ((G_X, GroundSet.of(*range(6))),          # multiplicities 1
+                      (G_XY, GroundSet.of(*range(5))),         # b = 0 collapses 5 lines
+                      (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4)))):  # a, -a merge
+        family = build_lines(g, ground, ground)
+        pairs = sum(1 for l1, l2 in combinations(family.lines, 2) if l1.slope != l2.slope)
+        assert crossing_pair_count(family) == pairs
+        assert len(crossing_weights(family)) <= pairs
+
+
+def test_memory_check_admits_desk_runs_and_refuses_quartic_ones(monkeypatch):
+    monkeypatch.setattr(lines, "_memory_budget", lambda: SEVEN_GIB)
+    bench = GroundSet.of(*range(1, 41))
+    check_crossing_memory(build_lines(G_X_PLUS_Y2, bench, bench), workers=2)
+    mid = GroundSet.of(*range(1, 65))
+    check_crossing_memory(build_lines(G_XY, mid, mid), workers=1)
+    big = GroundSet.of(*range(1, 129))
+    with pytest.raises(ResourceCapError, match="133169152 line pairs"):
+        check_crossing_memory(build_lines(G_XY, big, big), workers=1)
 
 
 # -- energy ---------------------------------------------------------------
@@ -276,6 +322,7 @@ def test_master_pair_accounting(seed):
     weights = crossing_weights(family)
     total = sum(n * n - sqm for _key, n, sqm, _cross in weights)
     assert len(weights) == len(intersection_points(weights))
+    assert len(weights) <= crossing_pair_count(family)
     na, nb = len(ground_a), len(ground_b)
     assert total == na * na * nb * (nb - 1)
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,18 @@ def test_histogram_conservation_and_bridge(seed):
     n = len(ground)
     assert hist.total == n ** 3 * (n - 1)
     assert {-x for x in hist.support} == quotient_set(g, ground).as_set()
+
+
+def test_histogram_with_repeated_lines_matches_brute_force():
+    # a and -a give the same line: multiplicities 1 and 2, four lines per slope
+    g = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
+    ground = interval(*range(-3, 4))
+    family = build_lines(g, ground, ground)
+    assert family.max_multiplicity == 2
+    assert min(Counter(line.slope for line in family).values()) >= 2
+    expected = brute_quadruple_histogram(g, ground)
+    assert quadruple_histogram(family).counts == expected
+    assert quadruple_histogram(family, workers=3).counts == expected
 
 
 def test_histogram_workers_equivalent():
