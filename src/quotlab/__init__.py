@@ -9,8 +9,8 @@ from .polynomials import (Poly, DegeneracyVerdict, bivariate_from_terms,
 from .sets import GroundSet, SetSpec, generate_set
 from .lines import (Line, LineMultiset, PointMultiplicity, RichPointReport,
                     IncidenceReport, build_lines, vertical_section,
-                    crossing_weights, intersection_points, energy_restricted,
-                    rich_point_reports, incidences)
+                    crossing_weights, intersection_points, rich_point_reports,
+                    incidences)
 from .quotients import (QuotientSet, QuadrupleHistogram, ChainReport,
                         ScanReport, quotient_set, quadruple_histogram,
                         verify_chain, exponent_scan, fit_loglog_slope)
@@ -27,8 +27,7 @@ __all__ = [
     "GroundSet", "SetSpec", "generate_set",
     "Line", "LineMultiset", "PointMultiplicity", "RichPointReport",
     "IncidenceReport", "build_lines", "vertical_section", "crossing_weights",
-    "intersection_points", "energy_restricted", "rich_point_reports",
-    "incidences",
+    "intersection_points", "rich_point_reports", "incidences",
     "QuotientSet", "QuadrupleHistogram", "ChainReport", "ScanReport",
     "quotient_set", "quadruple_histogram", "verify_chain", "exponent_scan",
     "fit_loglog_slope",

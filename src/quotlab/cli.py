@@ -239,7 +239,8 @@ def _run(argv) -> int:
             raise InputError("rich-points requires field 'thresholds'")
         ground = generate_set(spec)
         family = lines.build_lines(g, ground, ground)
-        weights = lines.crossing_weights(family, workers=workers)
+        points_out = getattr(args, "points_out", None)
+        weights = lines.crossing_weights(family, workers=workers, points=bool(points_out))
         rows = lines.rich_point_reports(family, thresholds, weights)
         results = {
             "size_a": len(ground),
@@ -250,8 +251,8 @@ def _run(argv) -> int:
                             "bound_ratio_float": float(r.bound_ratio)}
                            for r in rows],
         }
-        if getattr(args, "points_out", None):
-            reports.write_csv(args.points_out, ["x", "y", "n"],
+        if points_out:
+            reports.write_csv(points_out, ["x", "y", "n"],
                               reports.points_csv_rows(lines.intersection_points(weights)))
     elif experiment == "incidences":
         raw_points = config.get("points")

@@ -1,54 +1,56 @@
-"""Dual line family, point weights, rich points, energy, incidences.
+"""Dual line family, point weights, rich points, incidences.
 
 Each pair (a, b) in A x B maps to the line y = b*x - g(a, b).  The family
 is a multiset: pairs sharing slope and intercept merge into one stored
-line carrying their count, its multiplicity.  The point weight n(x, y)
+line carrying their count, its multiplicity m.  The point weight n(x, y)
 counts the lines through (x, y) *with* multiplicity.
 
-Enumeration never walks instance pairs.  Lines are grouped by slope into
-one integer table per family (LineMultiset.table) that every slope-pair
-kernel reads.  For each pair of slope classes the crossing abscissa is
-solved exactly, x = (c2 - c1)/(b1 - b2), in pre-scaled integer
-arithmetic.  Per crossing point the kernel accumulates, over the
-unordered pairs of distinct lines (multiplicities m_i, m_j) that meet
-there:
+Lines are grouped by slope into one integer table per family
+(LineMultiset.table) that every slope-pair kernel reads: slopes S = s*lb,
+intercepts C = c*lc, and the abscissa scale M, the lcm of all slope
+differences.  Lines of classes i < j cross at the x whose key
+x*lc*M/lb = (C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify
+x exactly and ascend with x, and only keys read out become Fractions.
 
-    pairs     += 1
-    mass      += m_i + m_j
-    sq_mass   += m_i^2 + m_j^2
-    cross     += m_i * m_j
+Crossing points are never aggregated.  The sweep (crossing_weights) groups,
+on each line l, its crossings with the lines of higher slope by key; on
+one line the key alone identifies the point.  A group holds c distinct
+lines of total multiplicity M_l.  A point on lines l_1 < ... < l_k (by
+slope) has a group on each l_r, r < k, with c = k - r and
+m_l + M_l = T_r = m_r + ... + m_k.  So, for any multiplicities:
 
-All lines through one point have pairwise distinct slopes, so with k
-distinct lines through it, pairs = k(k-1)/2 and each line is counted in
-(k-1) of the pairs.  Hence n = mass/(k-1), sum of m^2 = sq_mass/(k-1),
-and n^2 - sum(m^2) = 2*cross, which the kernel re-checks on every point.
-When every multiplicity is 1 a single counter per point suffices (n = k).
+  * 2 * m_l * M_l summed over the groups at x is Q(x), the sum of
+    n^2 - sum(m^2) over the points at x;
+  * the largest m_l + M_l of a point is T_1 = n, which gives max n;
+  * the groups with c = 1 count the points;
+  * +1 at T_r for every group and -1 at M_l = T_(r+1) for every group
+    with c >= 2 telescope to +1 at n per point: the histogram of n.
 
-Points on a single distinct line are never materialized.  Where a sum of
-n(x, y)^2 over *all* y at an abscissa is needed, the un-materialized
-crossings contribute exactly (sum over all lines of m^2) minus the
-sq_mass already seen at that abscissa; this multiplicity-aware correction
-is applied in energy computations.
+A process holds the groups of one line and, for the chain, one count per
+abscissa.  Shards are ranges of slope classes, merged by addition.  Only
+rich-points --points-out keeps the points.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .parallel import chunk_ranges, run_chunks, uses_pool
+from .parallel import run_chunks, uses_pool
 from .polynomials import Poly
 from .rationals import scaled_ints
 from .sets import GroundSet
 
-# Peak RSS per crossing-point entry, rounded up from the general record
-# form (a 4-int list per point); the multiplicity-1 form needs less.
-ENTRY_BYTES = 320
+# Peak RSS, measured on g = xy and x + y^2 and rounded up, per entry (one
+# line's group, or one abscissa: histogram count, Fraction, swept count)
+# and per materialized point (dict entry and output row).
+SWEEP_ENTRY_BYTES = 500
+POINT_BYTES = 600
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ class LineMultiset:
     def table(self):
         """The slope classes in integer form, built on first use and read by
         every slope-pair kernel: (SB, LB, intercept lists, multiplicity
-        lists, LC), one list per slope in sorted order.  For the family of
-        g over A x A the intercepts -g(a, b) are the value table."""
+        lists, LC, M), one list per slope in ascending order, with M the
+        abscissa scale.  For the family of g over A x A the intercepts
+        -g(a, b) are the value table."""
         if self._table is None:
             classes: dict[Fraction, list[Line]] = {}
             for line in self.lines:  # sorted by (slope, intercept)
@@ -108,8 +111,16 @@ class LineMultiset:
             column = iter(flat)
             sc_lists = [[next(column) for _ in items] for items in classes.values()]
             mult_lists = [[line.multiplicity for line in items] for items in classes.values()]
-            self._table = (sb, lb, sc_lists, mult_lists, lc)
+            xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
+            self._table = (sb, lb, sc_lists, mult_lists, lc, xscale)
         return self._table
+
+    @property
+    def key_scale(self) -> tuple[int, int]:
+        """(num, den) with x = key * num / den for an abscissa key, and
+        y = key / den for the y key of a point (see crossing_weights)."""
+        _sb, lb, _sc, _mults, lc, xscale = self.table
+        return lb, lc * xscale
 
 
 def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultiset:
@@ -137,141 +148,122 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
     return section
 
 
-# -- exact crossing aggregation ------------------------------------------
+# -- the lowest-slope-line sweep -------------------------------------------
 
 
-def _slope_pair_tasks(table, workers: int, *extra) -> list[tuple]:
-    """Tasks for a slope-pair kernel: ``table + (pairs, *extra)`` per chunk
-    of the slope-class pairs (i, j), i < j, cut for ``workers``."""
-    n = len(table[0])
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [table + (pairs[start:stop],) + extra
-            for start, stop in chunk_ranges(len(pairs), workers)]
+def _line_keys(c: int, factors: list[int], columns: list[list[int]]) -> list[int]:
+    """Abscissa keys of the line with scaled intercept ``c`` against the
+    pre-scaled columns above it: c*f - C*f per line, f = M / (S_j - S_i)."""
+    keys: list[int] = []
+    for f, column in zip(factors, columns):
+        base = c * f
+        keys += [base - v for v in column]
+    return keys
 
 
-def _fold_scale(num: int, den: int) -> tuple[int, int]:
-    """Reduce the constant factor num/den to (mul, den) with den > 0.
+def _sweep_chunk(args):
+    """Sweep the lines of slope classes [lo, hi) against every class above.
 
-    A slope-pair kernel scales each integer difference by mul and reduces
-    it against den; the order of the slopes in ``den`` fixes the sign."""
-    g0 = gcd(num, den)
-    mul, den = num // g0, den // g0
-    if den < 0:
-        mul, den = -mul, -den
-    return mul, den
-
-
-def _crossing_chunk(args):
-    """Aggregate crossings for one chunk of slope-class pairs.
-
-    Returns {(xp, xq, yp, yq): count} when all multiplicities are 1,
-    else {...: [pairs, mass, cross, sq_mass]}.  Top-level so process
-    pools can pickle it.
+    Returns (line pairs, {n: points}, {abscissa key: pairs} or None,
+    {(x key, y key): n} or None); the module docstring has the identities.
+    Top-level so process pools can pickle it.
     """
-    sb, lb, sc_lists, mult_lists, lc, pairs, fast = args
-    agg: dict = {}
-    _gcd = gcd
-    k_scale = lb * lc
-    for i, j in pairs:
-        bi = sb[i]
-        mul, den = _fold_scale(lb, (bi - sb[j]) * lc)
-        bi_lc = bi * lc
-        ci_list = sc_lists[i]
-        cj_list = sc_lists[j]
-        mi_list = mult_lists[i]
-        mj_list = mult_lists[j]
-        for ci, mi in zip(ci_list, mi_list):
-            t1 = ci * lb
-            for cj, mj in zip(cj_list, mj_list):
-                xp = (cj - ci) * mul
-                if xp == 0:
-                    xq = 1
-                else:
-                    gx = _gcd(xp, den)
-                    xp //= gx
-                    xq = den // gx
-                yp = bi_lc * xp + t1 * xq
-                yq = k_scale * xq
-                if yp == 0:
-                    yq = 1
-                else:
-                    gy = _gcd(yp, yq)
-                    yp //= gy
-                    yq //= gy
-                key = (xp, xq, yp, yq)
-                if fast:
-                    agg[key] = agg.get(key, 0) + 1
-                else:
-                    rec = agg.get(key)
-                    if rec is None:
-                        agg[key] = [1, mi + mj, mi * mj, mi * mi + mj * mj]
-                    else:
-                        rec[0] += 1
-                        rec[1] += mi + mj
-                        rec[2] += mi * mj
-                        rec[3] += mi * mi + mj * mj
-    return agg
+    table, lo, hi, per_abscissa, keep_points = args
+    sb, _lb, sc_lists, mult_lists, _lc, xscale = table
+    unit = all(m == 1 for mults in mult_lists for m in mults)
+    pairs = 0
+    weights: Counter = Counter()
+    cross: Counter | None = Counter() if per_abscissa else None
+    points: dict | None = {} if keep_points else None
+    for i in range(lo, hi):
+        above = range(i + 1, len(sb))
+        factors = [xscale // (sb[j] - sb[i]) for j in above]
+        scaled = [[c * f for c in sc_lists[j]] for f, j in zip(factors, above)]
+        # each line repeated by its multiplicity, so that counts are masses
+        heavy = scaled if unit else [
+            [v for v, m in zip(column, mult_lists[j]) for _ in range(m)]
+            for column, j in zip(scaled, above)]
+        for c, m in zip(sc_lists[i], mult_lists[i]):
+            keys = _line_keys(c, factors, scaled)
+            pairs += len(keys)
+            groups = Counter(keys)  # distinct lines per group
+            mass = groups if unit else Counter(_line_keys(c, factors, heavy))
+            if cross is not None:
+                cross.update(keys if unit else {key: m * w for key, w in mass.items()})
+            sizes = Counter(mass.values())
+            for w, count in sizes.items():
+                weights[m + w] += count
+            # a group of c >= 2 lines takes back what its next line adds
+            shared = sizes if unit else Counter(
+                mass[key] for key, n_lines in groups.items() if n_lines > 1)
+            for w, count in shared.items():
+                if w > 1:
+                    weights[w] -= count
+            if points is not None:
+                slope, offset = sb[i], c * xscale
+                for key, w in mass.items():
+                    point = (key, slope * key + offset)
+                    if points.get(point, 0) < m + w:
+                        points[point] = m + w
+    return pairs, weights, cross, points
 
 
-def _merge_crossings(parts: list[dict], fast: bool) -> dict:
-    total = parts[0] if parts else {}
-    for part in parts[1:]:
-        if fast:
-            for key, c in part.items():
-                total[key] = total.get(key, 0) + c
-        else:
-            for key, rec in part.items():
-                base = total.get(key)
-                total[key] = rec if base is None else [a + b for a, b in zip(base, rec)]
-    return total
+class CrossingWeights:
+    """The sweep's results summed over its shards: ``pairs`` swept line
+    pairs; ``weights`` n -> points of weight n, over the points on >= 2
+    distinct lines (len() counts them); ``pairs_by_key`` abscissa key ->
+    Q(x)/2, or None; ``points`` (x key, y key) -> n, or None."""
 
+    __slots__ = ("pairs", "weights", "pairs_by_key", "points", "key_scale")
 
-def _point_stats(rec, fast: bool) -> tuple[int, int, int]:
-    """(n, sum of m^2, cross-pair weight) for one aggregated point, with
-    exact consistency checks."""
-    c = rec if fast else rec[0]
-    k = (1 + isqrt(1 + 8 * c)) // 2
-    if k * (k - 1) // 2 != c or k < 2:
-        raise InternalCheckError("crossing pair count is not triangular")
-    if fast:
-        return k, k, c
-    _, mass, cross, sq_mass = rec
-    if mass % (k - 1) or sq_mass % (k - 1):
-        raise InternalCheckError("crossing mass not divisible by k-1")
-    n = mass // (k - 1)
-    sqm = sq_mass // (k - 1)
-    if n * n - sqm != 2 * cross:
-        raise InternalCheckError("pair accounting failed at a crossing point")
-    return n, sqm, cross
-
-
-class CrossingPoints:
-    """Points where >= 2 distinct lines meet; iterating yields the canonical
-    key (xp, xq, yp, yq) with n, sum m^2 and cross, derived and checked as
-    they are read so that no second per-point table is held."""
-
-    __slots__ = ("_agg", "_fast")
-
-    def __init__(self, agg: dict, fast: bool):
-        self._agg = agg
-        self._fast = fast
+    def __init__(self, parts: list[tuple], key_scale: tuple[int, int]):
+        self.key_scale = key_scale
+        pairs, weights, self.pairs_by_key, self.points = parts[0]
+        for more_pairs, more_weights, cross, points in parts[1:]:
+            pairs += more_pairs
+            weights.update(more_weights)
+            if cross is not None:
+                self.pairs_by_key.update(cross)
+            if points is not None:
+                for point, n in points.items():
+                    if self.points.get(point, 0) < n:
+                        self.points[point] = n
+        self.pairs = pairs
+        if any(count < 0 for count in weights.values()):
+            raise InternalCheckError("the sweep counted a negative number of points")
+        self.weights = dict(sorted((n, count) for n, count in weights.items() if count))
+        if self.points is not None and Counter(self.points.values()) != self.weights:
+            raise InternalCheckError("materialized points disagree with the swept weights")
 
     def __len__(self) -> int:
-        return len(self._agg)
-
-    def __iter__(self):
-        fast = self._fast
-        for key, rec in self._agg.items():
-            yield (key, *_point_stats(rec, fast))
+        return sum(self.weights.values())
 
 
 def crossing_pair_count(family: LineMultiset) -> int:
     """Pairs of distinct lines with different slopes: the sum over slope
     classes i < j of |class i| * |class j|.  Each such pair meets in one
-    point, so this bounds the entries of the crossing aggregate."""
+    point, and the sweep visits each such pair once."""
     sizes = [len(cs) for cs in family.table[2]]
     total = sum(sizes)
     return (total * total - sum(s * s for s in sizes)) // 2
+
+
+def _sweep_shards(family: LineMultiset, workers: int) -> list[tuple[int, int]]:
+    """At most ``workers`` contiguous ranges of slope classes, each closed
+    once the ranges so far sweep their share of the line pairs (class i
+    sweeps |class i| times the lines above it).  A family of one slope
+    class gets one empty range, so that its results keep their form."""
+    sizes = [len(cs) for cs in family.table[2]]
+    above, total = sum(sizes), crossing_pair_count(family)
+    shards: list[tuple[int, int]] = []
+    start = done = 0
+    for i, size in enumerate(sizes):
+        above -= size
+        done += size * above
+        if total and done * workers >= total * (len(shards) + 1):
+            shards.append((start, i + 1))
+            start = i + 1
+    return shards or [(0, 0)]
 
 
 def _memory_budget() -> int:
@@ -279,29 +271,40 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_crossing_memory(family: LineMultiset, workers: int) -> None:
-    """Refuse, before any kernel runs, a crossing aggregation whose estimated
-    peak exceeds physical memory.  A pool doubles the estimate: the workers'
-    partial aggregates and the parent's merged one each reach the bound."""
-    entries = crossing_pair_count(family)
-    n_classes = len(family.table[0])
-    pool_factor = 2 if uses_pool(n_classes * (n_classes - 1) // 2, workers) else 1
-    estimate, budget = entries * ENTRY_BYTES * pool_factor, _memory_budget()
+def check_crossing_memory(family: LineMultiset, workers: int, support_size: int = 0,
+                          points: bool = False) -> None:
+    """Refuse, before the sweep runs, a sweep whose estimated peak exceeds
+    physical memory: (|L| + |X|) entries in each shard and, with a pool, in
+    the merging parent, plus, for materialized points, one point per line
+    pair of distinct slopes (a bound on their number)."""
+    n_shards = len(_sweep_shards(family, workers))
+    processes = n_shards + 1 if uses_pool(n_shards, workers) else 1
+    estimate = (len(family) + support_size) * SWEEP_ENTRY_BYTES * processes
+    detail = (f"({len(family)} lines + {support_size} abscissas) x {SWEEP_ENTRY_BYTES} B "
+              f"x {processes}")
+    if points:
+        pairs = crossing_pair_count(family)
+        estimate += pairs * POINT_BYTES
+        detail += f" + {pairs} line pairs x {POINT_BYTES} B"
+    budget = _memory_budget()
     if estimate > budget:
         raise ResourceCapError(
             f"crossing aggregation refused: estimated {estimate / 2 ** 30:.2f} GiB "
-            f"({entries} line pairs x {ENTRY_BYTES} B x {pool_factor}) exceeds the "
-            f"{budget / 2 ** 30:.2f} GiB of physical memory")
+            f"({detail}) exceeds the {budget / 2 ** 30:.2f} GiB of physical memory")
 
 
-def crossing_weights(family: LineMultiset, workers: int = 1) -> CrossingPoints:
-    """Every point where >= 2 distinct lines meet, with (n, sum m^2,
-    cross).  The result is independent of ``workers``."""
-    check_crossing_memory(family, workers)
-    fast = family.max_multiplicity == 1
-    tasks = _slope_pair_tasks(family.table, workers, fast)
-    parts = run_chunks(_crossing_chunk, tasks, workers)
-    return CrossingPoints(_merge_crossings(parts, fast), fast)
+def crossing_weights(family: LineMultiset, workers: int = 1, *,
+                     support_size: int | None = None,
+                     points: bool = False) -> CrossingWeights:
+    """The lowest-slope-line sweep of ``family``, independent of ``workers``.
+
+    ``support_size`` is |X| when the caller knows it (verify_chain reads it
+    off its histogram); the sweep then also counts pairs per abscissa key.
+    ``points`` keeps every crossing point."""
+    check_crossing_memory(family, workers, support_size or 0, points)
+    tasks = [(family.table, lo, hi, support_size is not None, points)
+             for lo, hi in _sweep_shards(family, workers)]
+    return CrossingWeights(run_chunks(_sweep_chunk, tasks, workers), family.key_scale)
 
 
 # -- public reports -------------------------------------------------------
@@ -329,46 +332,29 @@ class IncidenceReport:
     total_weight: int
 
 
-def intersection_points(weights: CrossingPoints) -> list[PointMultiplicity]:
-    """The points of ``crossing_weights``, sorted by (x, y), with n(x, y)."""
-    out = [PointMultiplicity((Fraction(xp, xq), Fraction(yp, yq)), n)
-           for (xp, xq, yp, yq), n, _sqm, _cross in weights]
-    out.sort(key=lambda pm: pm.point)
-    return out
-
-
-def energy_restricted(family: LineMultiset, abscissas: Iterable[Fraction],
-                      workers: int = 1) -> int:
-    """Sum over x in ``abscissas`` of sum over all y of n(x, y)^2.
-
-    Materialized crossing points contribute n^2; the remaining
-    single-line crossings at each x contribute multiplicity^2 apiece,
-    in total (sum of m^2 over all lines) - (sq_mass seen at x).
-    """
-    xs = sorted(set(abscissas))
-    if not xs:
-        return 0
-    xset = frozenset((x.numerator, x.denominator) for x in xs)
-    energy = family.squared_multiplicity_total() * len(xs)
-    for (xp, xq, _yp, _yq), n, sqm, _cross in crossing_weights(family, workers=workers):
-        if (xp, xq) in xset:
-            energy += n * n - sqm
-    return energy
+def intersection_points(weights: CrossingWeights) -> list[PointMultiplicity]:
+    """The points of ``crossing_weights(..., points=True)``, sorted by
+    (x, y), with n(x, y)."""
+    if weights.points is None:
+        raise ValueError("the sweep kept no points; pass points=True to crossing_weights")
+    num, den = weights.key_scale
+    # both keys share the positive denominator, so their order is that of (x, y)
+    return [PointMultiplicity((Fraction(xk * num, den), Fraction(yk, den)), n)
+            for (xk, yk), n in sorted(weights.points.items())]
 
 
 def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
-                       weights: CrossingPoints) -> list[RichPointReport]:
+                       weights: CrossingWeights) -> list[RichPointReport]:
     """Rich-point counts of ``family`` for several thresholds, read off its
     ``crossing_weights``."""
     for t in thresholds:
         if not isinstance(t, int) or t < 2:
             raise InputError("rich-point threshold must be an integer >= 2 "
                              "(points on fewer than 2 distinct lines are not materialized)")
-    ns = sorted(n for _key, n, _sqm, _cross in weights)
     w2 = family.total_weight ** 2
     out = []
     for t in thresholds:
-        count = len(ns) - bisect_left(ns, t)
+        count = sum(c for n, c in weights.weights.items() if n >= t)
         out.append(RichPointReport(t, count, Fraction(count * t ** 3, w2)))
     return out
 

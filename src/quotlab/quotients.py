@@ -9,12 +9,12 @@ The central objects for a bivariate g and a finite set A:
                     (denominator convention b1 - b2, so support(Q) = -X)
 
 Enumeration is organized per slope pair over the scaled table of the line
-family (LineMultiset.table), so g is evaluated only |A|^2 times; within a
-slope pair only the distinct column values matter (with multiplicities for
-the histogram).  Everything is exact integer arithmetic after clearing
-denominators once.  quadruple_histogram takes the family itself:
-verify_chain builds it once and hands the same family to the histogram
-and to the crossing aggregation, and reads X off as -support(Q).  The set
+family (LineMultiset.table), so g is evaluated only |A|^2 times.  The
+histogram counts value differences per slope pair under the family's
+integer abscissa keys and makes one Fraction per distinct key.
+verify_chain builds the family once, reads X off as -support(Q), and
+compares Q key by key with the lowest-slope-line sweep of lines.py, a
+second enumeration that groups the same crossings per line.  The set
 kernel behind quotient_set(g, A) serves the experiments that need X alone.
 """
 
@@ -28,9 +28,9 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
-from .lines import (LineMultiset, build_lines, check_crossing_memory, crossing_weights,
-                    vertical_section, _fold_scale, _slope_pair_tasks)
-from .parallel import run_chunks
+from .lines import (LineMultiset, build_lines, crossing_pair_count, crossing_weights,
+                    vertical_section)
+from .parallel import chunk_ranges, run_chunks
 from .polynomials import Poly, degeneracy_test
 from .sets import GroundSet, SetSpec, generate_set
 
@@ -64,12 +64,18 @@ class QuotientSet:
 
 
 class QuadrupleHistogram:
-    """Exact Q(x) per crossing abscissa; total = |A|^3 (|A| - 1)."""
+    """Exact Q(x) per crossing abscissa; total = |A|^3 (|A| - 1).
 
-    __slots__ = ("counts",)
+    ``pairs_by_key``: Q(x)/2 under the family's integer abscissa keys (see
+    lines.py), ascending; the chain compares it with the sweep."""
 
-    def __init__(self, counts: dict[Fraction, int]):
-        self.counts = dict(sorted(counts.items()))
+    __slots__ = ("counts", "pairs_by_key")
+
+    def __init__(self, counts: dict[Fraction, int],
+                 pairs_by_key: dict[int, int] | None = None):
+        # quadruple_histogram passes both in ascending x, as keys ascend with x
+        self.counts = dict(sorted(counts.items())) if pairs_by_key is None else counts
+        self.pairs_by_key = pairs_by_key
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -90,13 +96,32 @@ class QuadrupleHistogram:
 #
 # Both kernels walk LineMultiset.table, whose intercepts are
 # c = -g(a, b).  For u = g(a1, b_i) and v = g(a2, b_j), u - v = c_j - c_i,
-# so each kernel forms c_i - c_j and puts the sign into the denominator it
-# hands to _fold_scale.
+# so each kernel forms c_i - c_j and puts the sign into its scale factor.
+
+
+def _slope_pair_tasks(table, workers: int) -> list[tuple]:
+    """Tasks for a slope-pair kernel: (table, pairs) per chunk of the
+    slope-class pairs (i, j), i < j, cut for ``workers``."""
+    n = len(table[0])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [(table, pairs[start:stop]) for start, stop in chunk_ranges(len(pairs), workers)]
+
+
+def _fold_scale(num: int, den: int) -> tuple[int, int]:
+    """Reduce the constant factor num/den to (mul, den) with den > 0.
+
+    The set kernel scales each integer difference by mul and reduces it
+    against den; the order of the slopes in ``den`` fixes the sign."""
+    g0 = gcd(num, den)
+    mul, den = num // g0, den // g0
+    if den < 0:
+        mul, den = -mul, -den
+    return mul, den
 
 
 def _quotient_chunk(args):
     """Distinct canonical quotient pairs for a chunk of slope pairs."""
-    sb, lb, sc_lists, _mult_lists, lc, pairs = args
+    (sb, lb, sc_lists, _mult_lists, lc, _xscale), pairs = args
     out: set[tuple[int, int]] = set()
     _gcd = gcd
     for i, j in pairs:
@@ -119,28 +144,16 @@ def _quotient_chunk(args):
 
 
 def _histogram_chunk(args):
-    """Canonical abscissa -> quadruple count for a chunk of slope pairs;
+    """Abscissa key -> unordered value pairs for a chunk of slope pairs;
     each slope class arrives as its intercepts repeated by multiplicity."""
-    sb, lb, sc_lists, lc, pairs = args
-    out: dict[tuple[int, int], int] = {}
-    _gcd = gcd
+    (sb, _lb, sc_lists, _mult_lists, _lc, xscale), pairs = args
+    out: Counter = Counter()
     for i, j in pairs:
-        # abscissa = (u - v) / (b_i - b_j) = (c_i - c_j) / (b_j - b_i); each
-        # unordered slope pair stands for both ordered pairs, which double
-        # every count.
-        mul, den = _fold_scale(lb, (sb[j] - sb[i]) * lc)
-        cj_list = sc_lists[j]
-        raw: Counter = Counter()
-        for ci in sc_lists[i]:
-            raw.update([ci - cj for cj in cj_list])
-        for d, c in raw.items():
-            p = d * mul
-            if p == 0:
-                key = (0, 1)
-            else:
-                g1 = _gcd(p, den)
-                key = (p // g1, den // g1)
-            out[key] = out.get(key, 0) + 2 * c
+        # abscissa = (u - v) / (b_i - b_j) = (c_i - c_j) / (b_j - b_i), whose
+        # key is c_i * f - c_j * f in scaled integers
+        f = xscale // (sb[j] - sb[i])
+        right = [c * f for c in sc_lists[j]]
+        out.update([u - v for u in [c * f for c in sc_lists[i]] for v in right])
     return out
 
 
@@ -162,16 +175,18 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
-    sb, lb, sc_lists, mult_lists, lc = family.table
+    sb, lb, sc_lists, mult_lists, lc, xscale = family.table
     expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
                 for cs, ms in zip(sc_lists, mult_lists)]
-    tasks = _slope_pair_tasks((sb, lb, expanded, lc), workers)
-    parts = run_chunks(_histogram_chunk, tasks, workers)
-    merged: dict[tuple[int, int], int] = {}
-    for part in parts:
-        for key, w in part.items():
-            merged[key] = merged.get(key, 0) + w
-    return QuadrupleHistogram({Fraction(p, q): w for (p, q), w in merged.items()})
+    tasks = _slope_pair_tasks((sb, lb, expanded, mult_lists, lc, xscale), workers)
+    merged: Counter = Counter()
+    for part in run_chunks(_histogram_chunk, tasks, workers):
+        merged.update(part)  # a plain dict update while merged is empty
+    # each unordered slope pair stands for both ordered ones: Q = 2 * pairs
+    pairs_by_key = dict(sorted(merged.items()))
+    num, den = family.key_scale
+    return QuadrupleHistogram({Fraction(k * num, den): 2 * q for k, q in pairs_by_key.items()},
+                              pairs_by_key)
 
 
 # -- the verification chain ------------------------------------------------
@@ -221,11 +236,11 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
 
     Checks performed exactly (any failure raises InternalCheckError):
       * histogram conservation: sum Q(x) = |A|^3 (|A| - 1);
-      * crossing abscissas coincide with support(Q);
+      * pair accounting: the sweep visits crossing_pair_count line pairs,
+        and its cross-pair weight doubles to the quadruple total;
+      * the abscissas the sweep reaches coincide with support(Q);
       * per-abscissa identity: Q(x) = sum over crossing points at x of
-        n^2 - sum(m^2), i.e. twice the cross-pair weight;
-      * pair accounting: total cross-pair weight doubles to the
-        quadruple total;
+        n^2 - sum(m^2), as the sweep sums it per line;
       * energy identity: energy over the support equals
         quadruple_total + |support| * (sum of line multiplicity^2);
       * vertical-section mass at sampled support abscissas is |A|^2.
@@ -253,9 +268,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
             histogram=QuadrupleHistogram({}), links={"empty_instance": True})
 
     family = build_lines(g, ground, ground)
-    # Refused runs stop before the histogram, which runs first so that its
-    # pool is not forked from a parent holding the crossing aggregate.
-    check_crossing_memory(family, workers)
+    # The histogram runs first: the sweep's memory check needs |X|.
     hist = quadruple_histogram(family, workers=workers)
     quadruple_total = hist.total
     if quadruple_total != n ** 3 * (n - 1):
@@ -264,31 +277,28 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     size_x = len(hist)
 
     t2 = family.squared_multiplicity_total()
-    weights = crossing_weights(family, workers=workers)
-
-    support_keys = {(x.numerator, x.denominator): q for x, q in hist.counts.items()}
-    per_x: dict[tuple[int, int], int] = {}  # sum of n^2 - sum(m^2) at x
-    cross_total = 0
-    max_point_weight = 0
-    for (xp, xq, _yp, _yq), pn, sqm, cross in weights:
-        per_x[(xp, xq)] = per_x.get((xp, xq), 0) + pn * pn - sqm
-        cross_total += cross
-        if pn > max_point_weight:
-            max_point_weight = pn
-
-    if per_x.keys() != support_keys.keys():
+    sweep = crossing_weights(family, workers=workers, support_size=size_x)
+    if sweep.pairs != crossing_pair_count(family):
+        raise InternalCheckError(
+            f"the sweep visited {sweep.pairs} line pairs, not the "
+            f"{crossing_pair_count(family)} pairs of distinct slopes")
+    swept, expected = sweep.pairs_by_key, hist.pairs_by_key
+    if swept.keys() != expected.keys():
         raise InternalCheckError("crossing abscissas differ from histogram support")
-    for key, q in support_keys.items():
-        if per_x[key] != q:
-            raise InternalCheckError(
-                f"per-abscissa quadruple identity failed at {Fraction(*key)}")
+    if swept != expected:
+        key = next(k for k, q in expected.items() if swept[k] != q)
+        num, den = family.key_scale
+        raise InternalCheckError(
+            f"per-abscissa quadruple identity failed at {Fraction(key * num, den)}")
+    cross_total = sum(swept.values())
     if 2 * cross_total != quadruple_total:
         raise InternalCheckError("global pair accounting failed")
 
     # at each x, sum_y n^2 = (sum of n^2 - sum m^2 over its crossing points) + t2
-    energy_support = sum(per_x.values()) + len(per_x) * t2
+    energy_support = 2 * cross_total + len(swept) * t2
     if energy_support != quadruple_total + len(hist) * t2:
         raise InternalCheckError("energy identity failed over the support")
+    max_point_weight = max(sweep.weights, default=0)
 
     support = hist.support
     sampled = {support[0], support[len(support) // 2], support[-1]}

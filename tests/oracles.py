@@ -4,6 +4,8 @@ Everything here walks raw quadruples / instance pairs, builds bisectors
 geometrically, or long-divides polynomials held as plain exponent dicts,
 with Fraction arithmetic and no shared code with the production kernels,
 so a match is meaningful.  Only usable at small |A| (quartic loops).
+energy_restricted reads quotlab's vertical sections, which the tests
+check against brute_vertical_section, and nothing of the sweep.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from quotlab.lines import LineMultiset, vertical_section
 from quotlab.polynomials import Poly
 from quotlab.sets import GroundSet
 
@@ -85,6 +88,32 @@ def brute_intersection_points(g: Poly, ground_a: GroundSet,
     for x, y in pts:
         out[(x, y)] = brute_vertical_section(g, ground_a, ground_b, x)[y]
     return out
+
+
+def brute_point_lines(g: Poly, ground_a: GroundSet,
+                      ground_b: GroundSet) -> dict[tuple[Fraction, Fraction], list]:
+    """The instances (slope, intercept) through every point where two
+    instances with distinct slopes cross, duplicates kept, collected from
+    all instance pairs.  Every instance through such a point crosses one of
+    the two, so none is missed; quadratic, not quartic, in |A||B|."""
+    inst = instance_lines(g, ground_a, ground_b)
+    through: dict[tuple[Fraction, Fraction], set[int]] = {}
+    for i in range(len(inst)):
+        s1, c1 = inst[i]
+        for j in range(i + 1, len(inst)):
+            s2, c2 = inst[j]
+            if s1 == s2:
+                continue
+            x = (c2 - c1) / (s1 - s2)
+            through.setdefault((x, s1 * x + c1), set()).update((i, j))
+    return {point: [inst[k] for k in sorted(ks)] for point, ks in through.items()}
+
+
+def energy_restricted(family: LineMultiset, abscissas) -> int:
+    """Sum over x in ``abscissas`` of sum over all y of n(x, y)^2, read off
+    the family's vertical sections."""
+    return sum(n * n for x in set(abscissas)
+               for n in vertical_section(family, x).values())
 
 
 def brute_incidences(points, weighted_lines) -> int:

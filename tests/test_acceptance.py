@@ -17,9 +17,8 @@ from fractions import Fraction
 import pytest
 
 from quotlab.cli import main as cli_main
-from quotlab.lines import (build_lines, crossing_weights, energy_restricted,
-                           incidences, intersection_points, rich_point_reports,
-                           vertical_section)
+from quotlab.lines import (build_lines, crossing_weights, incidences,
+                           intersection_points, rich_point_reports, vertical_section)
 from quotlab.bisectors import (bisector_intercept_set, intercept_quotient_poly)
 from quotlab.polynomials import Poly, bivariate_to_terms, degeneracy_test
 from quotlab.quotients import (exponent_scan, fit_loglog_slope,
@@ -30,8 +29,8 @@ from quotlab.sets import GroundSet, SetSpec
 from oracles import (SLOPE_DIFFERENCE, brute_bisector_intercepts, brute_energy,
                      brute_incidences, brute_quadruple_histogram,
                      brute_quotient_set, constructed_bisector_intercepts,
-                     divide_by_linear, pair_difference, random_ground_set,
-                     random_polynomial)
+                     divide_by_linear, energy_restricted, pair_difference,
+                     random_ground_set, random_polynomial)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -142,7 +141,7 @@ def test_criterion_5_oracle_equivalence():
         assert quadruple_histogram(family).counts == \
             brute_quadruple_histogram(g, ground)
         xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
-        crossings = intersection_points(crossing_weights(family))
+        crossings = intersection_points(crossing_weights(family, points=True))
         xs += [pm.point[0] for pm in crossings[:3]]
         assert energy_restricted(family, xs) == brute_energy(g, ground, ground, xs)
         pts = [(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
@@ -226,7 +225,7 @@ def criterion7_reports():
     """Rich-point reports of g = xy on {1..16} for t in [2, max weight + 1]."""
     ground = interval(16)
     family = build_lines(G_XY, ground, ground)
-    weights = crossing_weights(family)
+    weights = crossing_weights(family, points=True)
     max_weight = max(pm.count for pm in intersection_points(weights))
     thresholds = list(range(2, max_weight + 2))
     return rich_point_reports(family, thresholds, weights), max_weight

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from quotlab.polynomials import Poly
 G_X = '[{"c":"1","i":1,"j":0}]'
 G_Y2 = '[{"c":"1","i":0,"j":2}]'
 G_XY = '[{"c":"1","i":1,"j":1}]'
+G_X2_PLUS_Y = '[{"c":"1","i":2,"j":0},{"c":"1","i":0,"j":1}]'
 AP3 = '{"kind":"arithmetic","start":1,"step":1,"size":3}'
 
 
@@ -168,6 +170,27 @@ def test_rich_points_aggregates_the_crossings_once(tmp_path, monkeypatch):
     assert report["results"]["thresholds"][0]["count"] == len(rows) - 1
 
 
+# sha256 of --points-out CSVs written by the crossing-point aggregate that
+# the lowest-slope-line sweep replaced, on g = xy over {1..5} and
+# g = x^2 + y over {-3..3}
+POINTS_CSV_SHA256 = {
+    (G_XY, 1, 5): "355d6d3f122f3ffcb1683784b387ef2c8d560997ab9bb64fb90507257dc85c2d",
+    (G_X2_PLUS_Y, -3, 7): "3d1c6f2f6a97da3c7e715932a6d8c0f97278052bb1a129dec5c158e28173699e",
+}
+
+
+def test_points_csv_bytes_are_unchanged(tmp_path):
+    for (g, start, size), digest in POINTS_CSV_SHA256.items():
+        spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
+        for workers in ("1", "2"):
+            pts_path = tmp_path / f"points_{start}_{workers}.csv"
+            code, _ = run_cli(tmp_path, "rich-points", "--g", g, "--set", spec,
+                              "--thresholds", "2", "--points-out", str(pts_path),
+                              "--workers", workers)
+            assert code == 0
+            assert hashlib.sha256(pts_path.read_bytes()).hexdigest() == digest
+
+
 def test_rich_points_threshold_below_two_is_input_error(tmp_path):
     code, _ = run_cli(tmp_path, "rich-points", "--g", G_X, "--set", AP3,
                       "--thresholds", "1")
@@ -261,9 +284,9 @@ def test_missing_required_field_is_input_error(tmp_path):
 
 
 def count_kernel_calls(monkeypatch):
-    """Counts the calls of each slope-pair kernel a chain or rich-points
-    run can make (inline runs, so the counts are seen here)."""
-    calls = {"histogram": 0, "crossing": 0}
+    """Counts the calls of each kernel a chain or rich-points run can make
+    (inline runs, so the counts are seen here)."""
+    calls = {"histogram": 0, "sweep": 0}
 
     def counted(name, module, attr):
         kernel = getattr(module, attr)
@@ -274,7 +297,7 @@ def count_kernel_calls(monkeypatch):
         monkeypatch.setattr(module, attr, call)
 
     counted("histogram", quotients, "_histogram_chunk")
-    counted("crossing", lines, "_crossing_chunk")
+    counted("sweep", lines, "_sweep_chunk")
     return calls
 
 
@@ -286,22 +309,42 @@ def test_memory_cap_exit_code(tmp_path, monkeypatch, capsys):
                            "--thresholds", "2")
     assert code == 3
     assert report is None
-    assert calls == {"histogram": 0, "crossing": 0}
-    assert "resource cap: crossing aggregation refused: estimated" in capsys.readouterr().err
+    assert calls == {"histogram": 0, "sweep": 0}
+    err = capsys.readouterr().err
+    assert "resource cap: crossing aggregation refused: estimated" in err
+    assert "(36 lines + 0 abscissas) x 500 B x 1)" in err
 
 
-def test_chain_too_large_for_memory_is_refused_before_any_kernel(tmp_path, monkeypatch,
-                                                                 capsys):
+def test_chain_too_large_for_memory_is_refused_before_the_sweep(tmp_path, monkeypatch,
+                                                                capsys):
     calls = count_kernel_calls(monkeypatch)
-    monkeypatch.setattr(lines, "_memory_budget", lambda: 7 * 2 ** 30)
-    code, report = run_cli(tmp_path, "chain", "--g", G_XY,
-                           "--set", '{"kind":"arithmetic","start":1,"step":1,"size":128}',
-                           "--workers", "1")
+    monkeypatch.setattr(lines, "_memory_budget", lambda: 1000)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
     assert code == 3
     assert report is None
-    assert calls == {"histogram": 0, "crossing": 0}
+    # the histogram runs first, since the estimate counts its |X| abscissas
+    assert calls == {"histogram": 1, "sweep": 0}
     err = capsys.readouterr().err
-    assert "estimated" in err and "133169152 line pairs" in err and "7.00 GiB" in err
+    # g = xy on {1, 2, 3}: 9 lines, |X| = 13
+    assert "estimated 0.00 GiB ((9 lines + 13 abscissas) x 500 B x 1)" in err
+    assert "0.00 GiB of physical memory" in err
+
+
+def test_sweep_that_drops_a_line_pair_exits_four(tmp_path, monkeypatch, capsys):
+    kernel = lines._sweep_chunk
+
+    def drops_one_pair(args):
+        pairs, weights, cross, points = kernel(args)
+        key = next(iter(cross))
+        cross[key] -= 1
+        return pairs - 1, weights, cross, points
+
+    monkeypatch.setattr(lines, "_sweep_chunk", drops_one_pair)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert ("internal check failed: the sweep visited 26 line pairs, not the 27 pairs "
+            "of distinct slopes") in capsys.readouterr().err
 
 
 def test_memory_cap_option_and_config_field_are_gone(tmp_path, capsys):

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from quotlab import lines
 from quotlab.errors import InputError, ResourceCapError
 from quotlab.lines import (Line, LineMultiset, build_lines, check_crossing_memory,
-                           crossing_pair_count, crossing_weights, energy_restricted,
-                           incidences, intersection_points, rich_point_reports,
-                           vertical_section)
+                           crossing_pair_count, crossing_weights, incidences,
+                           intersection_points, rich_point_reports, vertical_section)
 from quotlab.polynomials import Poly
 from quotlab.sets import GroundSet
 
 from oracles import (brute_energy, brute_incidences, brute_intersection_points,
-                     brute_vertical_section, instance_lines, random_ground_set,
-                     random_polynomial)
+                     brute_vertical_section, energy_restricted, instance_lines,
+                     random_ground_set, random_polynomial)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -26,6 +25,9 @@ G_X_PLUS_Y2 = Poly(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)})
 G_X2_PLUS_Y = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
 
 SEVEN_GIB = 7 * 2 ** 30
+# |X| for g = x + y^2 on {1..40}, g = xy on {1..64} and on {1..128}, as the
+# chain reports them
+SIZE_X = {"x+y^2 40": 13925, "xy 64": 200387, "xy 128": 1684587}
 
 A01 = GroundSet.of(0, 1)
 
@@ -35,7 +37,7 @@ def frac(p, q=1):
 
 
 def points(family, **kwargs):
-    return intersection_points(crossing_weights(family, **kwargs))
+    return intersection_points(crossing_weights(family, points=True, **kwargs))
 
 
 def rich(family, t):
@@ -152,22 +154,29 @@ def test_memory_cap_enforced(monkeypatch):
     ground = GroundSet.of(*range(6))
     family = build_lines(G_X, ground, ground)
     calls = []
-    kernel = lines._crossing_chunk
+    kernel = lines._sweep_chunk
 
     def counted(args):
         calls.append(args)
         return kernel(args)
 
-    monkeypatch.setattr(lines, "_crossing_chunk", counted)
+    monkeypatch.setattr(lines, "_sweep_chunk", counted)
     monkeypatch.setattr(lines, "_memory_budget", lambda: 1000)
-    # 6 slope classes of 6 lines: C(6, 2) * 36 = 540 line pairs
-    with pytest.raises(ResourceCapError, match=r"estimated .* GiB \(540 line pairs"):
+    # 6 slope classes of 6 lines: 36 lines, 540 line pairs
+    with pytest.raises(ResourceCapError,
+                       match=r"estimated .* GiB \(\(36 lines \+ 0 abscissas\) x 500 B x 1\)"):
         crossing_weights(family)
     assert calls == []
-    # a budget of exactly the inline estimate admits one worker, not a pool
-    monkeypatch.setattr(lines, "_memory_budget", lambda: 540 * lines.ENTRY_BYTES)
-    with pytest.raises(ResourceCapError, match=r"x 2\)"):
+    # a budget of exactly the inline estimate admits one process, not two
+    # shards and the parent that merges them
+    inline = 36 * lines.SWEEP_ENTRY_BYTES
+    monkeypatch.setattr(lines, "_memory_budget", lambda: inline)
+    with pytest.raises(ResourceCapError, match=r"x 3\)"):
         crossing_weights(family, workers=2)
+    assert calls == []
+    # only materialized points are charged per line pair
+    with pytest.raises(ResourceCapError, match=r"\+ 540 line pairs x 600 B\)"):
+        crossing_weights(family, points=True)
     assert calls == []
     assert len(crossing_weights(family, workers=1)) > 0
     assert len(calls) == 1
@@ -181,17 +190,35 @@ def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():
         pairs = sum(1 for l1, l2 in combinations(family.lines, 2) if l1.slope != l2.slope)
         assert crossing_pair_count(family) == pairs
         assert len(crossing_weights(family)) <= pairs
+        for workers in (1, 2, 3):
+            assert crossing_weights(family, workers=workers).pairs == pairs
+
+
+def test_sweep_shards_are_contiguous_shares_of_the_line_pairs():
+    ground = GroundSet.of(*range(6))
+    family = build_lines(G_X, ground, ground)  # classes sweep 180, 144, ..., 36, 0 pairs
+    assert lines._sweep_shards(family, 1) == [(0, 5)]
+    assert lines._sweep_shards(family, 2) == [(0, 2), (2, 5)]
+    assert lines._sweep_shards(family, 3) == [(0, 1), (1, 3), (3, 5)]
+    single = LineMultiset([Line(frac(2), frac(c), 1) for c in range(3)])
+    assert lines._sweep_shards(single, 2) == [(0, 0)]
 
 
 def test_memory_check_admits_desk_runs_and_refuses_quartic_ones(monkeypatch):
     monkeypatch.setattr(lines, "_memory_budget", lambda: SEVEN_GIB)
     bench = GroundSet.of(*range(1, 41))
-    check_crossing_memory(build_lines(G_X_PLUS_Y2, bench, bench), workers=2)
+    check_crossing_memory(build_lines(G_X_PLUS_Y2, bench, bench), workers=2,
+                          support_size=SIZE_X["x+y^2 40"])
     mid = GroundSet.of(*range(1, 65))
-    check_crossing_memory(build_lines(G_XY, mid, mid), workers=1)
+    check_crossing_memory(build_lines(G_XY, mid, mid), workers=1,
+                          support_size=SIZE_X["xy 64"])
     big = GroundSet.of(*range(1, 129))
+    family = build_lines(G_XY, big, big)
+    for workers in (1, 2):
+        check_crossing_memory(family, workers=workers, support_size=SIZE_X["xy 128"])
+    # materializing every crossing point is what cannot fit
     with pytest.raises(ResourceCapError, match="133169152 line pairs"):
-        check_crossing_memory(build_lines(G_XY, big, big), workers=1)
+        check_crossing_memory(family, workers=1, points=True)
 
 
 # -- energy ---------------------------------------------------------------
@@ -313,16 +340,18 @@ def test_incidences_match_brute_force(seed):
 @settings(max_examples=20)
 def test_master_pair_accounting(seed):
     # ordered instance pairs with distinct slopes all meet exactly once:
-    # summing n^2 - sum(m^2) over crossing points recovers their number
+    # the sweep's pairs per abscissa, doubled, recover their number
     rng = random.Random(seed)
     g = random_polynomial(rng, require_x=False)
     ground_a = random_ground_set(rng, rng.randint(1, 4))
     ground_b = random_ground_set(rng, rng.randint(2, 4))
     family = build_lines(g, ground_a, ground_b)
-    weights = crossing_weights(family)
-    total = sum(n * n - sqm for _key, n, sqm, _cross in weights)
+    pairs = crossing_pair_count(family)
+    # |X| is at most one abscissa per line pair
+    weights = crossing_weights(family, support_size=pairs, points=True)
+    total = 2 * sum(weights.pairs_by_key.values())
     assert len(weights) == len(intersection_points(weights))
-    assert len(weights) <= crossing_pair_count(family)
+    assert len(weights) <= pairs == weights.pairs
     na, nb = len(ground_a), len(ground_b)
     assert total == na * na * nb * (nb - 1)
 
