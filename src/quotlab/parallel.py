@@ -1,12 +1,13 @@
 """Deterministic work partitioning.
 
-Kernels enumerate a fixed, sorted task list (slope-class pairs, point
-pairs).  With ``workers`` > 1 the list is cut into contiguous chunks that
-run in a process pool; partial aggregates are merged in chunk order, so
-the result is bit-identical for every worker count.  If a pool cannot be
-created (restricted sandboxes), chunks run sequentially with the same
-merge order, which cannot change the output.  Running out of memory, or
-a worker that dies (say, by the OOM killer), raises ResourceCapError.
+Kernels enumerate a fixed, sorted task list (slope-class pairs or
+slope-class ranges).  With ``workers`` > 1 the list is cut into
+contiguous chunks that run in a process pool; partial aggregates are
+merged in chunk order, so the result is bit-identical for every worker
+count.  If a pool cannot be created (restricted sandboxes), chunks run
+sequentially with the same merge order, which cannot change the output.
+Running out of memory, or a worker that dies (say, by the OOM killer),
+raises ResourceCapError.
 """
 
 from __future__ import annotations

@@ -236,14 +236,15 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
 
     Checks performed exactly (any failure raises InternalCheckError):
       * histogram conservation: sum Q(x) = |A|^3 (|A| - 1);
-      * pair accounting: the sweep visits crossing_pair_count line pairs,
-        and its cross-pair weight doubles to the quadruple total;
+      * pair accounting: the sweep visits crossing_pair_count line pairs;
       * the abscissas the sweep reaches coincide with support(Q);
       * per-abscissa identity: Q(x) = sum over crossing points at x of
         n^2 - sum(m^2), as the sweep sums it per line;
-      * energy identity: energy over the support equals
-        quadruple_total + |support| * (sum of line multiplicity^2);
-      * vertical-section mass at sampled support abscissas is |A|^2.
+      * at sampled support abscissas, read off the vertical section of
+        the lines: the mass sum_y n(x, y) is |A|^2, and the energy
+        sum_y n(x, y)^2 is Q(x) + (sum of line multiplicity^2).
+
+    The energy over the support is then quadruple_total + |X| t2.
 
     X is read off as -support(Q), so size_x = |support(Q)|; the
     ``sign_bridge`` link records that reading.  That the set kernel of
@@ -290,21 +291,18 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
         num, den = family.key_scale
         raise InternalCheckError(
             f"per-abscissa quadruple identity failed at {Fraction(key * num, den)}")
-    cross_total = sum(swept.values())
-    if 2 * cross_total != quadruple_total:
-        raise InternalCheckError("global pair accounting failed")
-
-    # at each x, sum_y n^2 = (sum of n^2 - sum m^2 over its crossing points) + t2
-    energy_support = 2 * cross_total + len(swept) * t2
-    if energy_support != quadruple_total + len(hist) * t2:
-        raise InternalCheckError("energy identity failed over the support")
+    # summed over x in support(Q), sum_y n(x, y)^2 = Q(x) + t2
+    energy_support = quadruple_total + size_x * t2
     max_point_weight = max(sweep.weights, default=0)
 
     support = hist.support
     sampled = {support[0], support[len(support) // 2], support[-1]}
     for x in sampled:
-        if sum(vertical_section(family, x).values()) != n * n:
+        section = vertical_section(family, x).values()
+        if sum(section) != n * n:
             raise InternalCheckError(f"vertical mass at {x} is not |A|^2")
+        if sum(m * m for m in section) != hist[x] + t2:
+            raise InternalCheckError(f"energy identity failed at {x}")
 
     zero = Fraction(0)
     zero_in_support = zero in hist.counts

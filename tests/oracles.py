@@ -139,6 +139,20 @@ def brute_bisector_intercepts(ground: GroundSet) -> set[Fraction]:
     return out
 
 
+def brute_grid_pair_counts(ground: GroundSet) -> tuple[int, int]:
+    """(pairs with different y, pairs with equal y) over the unordered
+    pairs of distinct points of the grid A x A, counted one by one."""
+    grid = [(a, b) for a in ground for b in ground]
+    unequal = equal = 0
+    for i in range(len(grid)):
+        for j in range(i + 1, len(grid)):
+            if grid[i][1] == grid[j][1]:
+                equal += 1
+            else:
+                unequal += 1
+    return unequal, equal
+
+
 def bisector_y_intercept(p, q) -> Fraction:
     """y-axis crossing of the perpendicular bisector of segment pq, built
     from the midpoint and the perpendicular slope; the closed form is

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotlab.bisectors import bisector_intercept_set, intercept_quotient_poly
+from quotlab.bisectors import bisector_intercept_set
 from quotlab.errors import InputError
 from quotlab.polynomials import Poly
 from quotlab.quotients import quotient_set
 from quotlab.sets import GroundSet
 
-from oracles import (brute_bisector_intercepts, bisector_y_intercept,
-                     constructed_bisector_intercepts, random_ground_set)
+from oracles import (brute_bisector_intercepts, brute_grid_pair_counts,
+                     bisector_y_intercept, constructed_bisector_intercepts,
+                     random_ground_set)
 
 
 def frac(p, q=1):
@@ -68,14 +69,15 @@ def test_intercept_lies_on_the_bisector(px, py, qx, qy):
 
 
 def test_intercept_set_minimal_case():
-    ground = GroundSet.of(0, 1)
-    intercepts = bisector_intercept_set(ground)
-    assert intercepts.as_set() == brute_bisector_intercepts(ground)
-    assert intercepts.as_set() == constructed_bisector_intercepts(ground)
-    assert intercepts.grid_size == 4
-    # unordered pairs of 4 grid points: 6, of which 2 share a y-coordinate
-    assert intercepts.pairs_considered == 4
-    assert intercepts.pairs_skipped == 2
+    for ground in (GroundSet.of(0, 1), GroundSet.of(-3, 7),
+                   GroundSet.of(frac(1, 3), frac(-5, 2))):
+        intercepts = bisector_intercept_set(ground)
+        assert intercepts.as_set() == brute_bisector_intercepts(ground)
+        assert intercepts.as_set() == constructed_bisector_intercepts(ground)
+        assert intercepts.grid_size == 4
+        # unordered pairs of 4 grid points: 6, of which 2 share a y-coordinate
+        assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
+            brute_grid_pair_counts(ground) == (4, 2)
 
 
 def test_intercept_set_requires_two_elements():
@@ -86,7 +88,8 @@ def test_intercept_set_requires_two_elements():
 def test_intercept_set_workers_equivalent():
     ground = GroundSet.of(*range(5))
     base = bisector_intercept_set(ground, workers=1)
-    # 25 grid points give 300 pairs, cut into chunks of unequal length
+    # 25 grid points give 300 pairs; the 10 slope-class pairs of the
+    # quadratic's line family are cut into chunks of unequal length
     assert base.pairs_considered + base.pairs_skipped == 300
     for workers in (2, 3, 4, 7):
         multi = bisector_intercept_set(ground, workers=workers)
@@ -107,12 +110,14 @@ def test_intercept_set_matches_brute_force(seed):
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=15)
-def test_intercept_set_equals_quotient_set_of_the_quadratic(seed):
+def test_pair_counts_match_a_direct_count(seed):
+    # integer sets in [-20, 20] (negatives included) and rational sets
     rng = random.Random(seed)
-    ground = random_ground_set(rng, rng.randint(2, 5))
+    ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
     intercepts = bisector_intercept_set(ground)
-    reference = quotient_set(intercept_quotient_poly(), ground)
-    assert intercepts.as_set() == reference.as_set()
+    assert intercepts.grid_size == len(ground) ** 2
+    assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
+        brute_grid_pair_counts(ground)
 
 
 def test_sign_flipped_quadratic_does_not_reproduce_intercepts():

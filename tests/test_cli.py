@@ -1,12 +1,18 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from quotlab import lines, quotients
+import quotlab
+from quotlab import bisectors, lines, quotients
 from quotlab.cli import main
 from quotlab.polynomials import Poly
+from quotlab.sets import GroundSet
+
+from oracles import brute_bisector_intercepts
 
 G_X = '[{"c":"1","i":1,"j":0}]'
 G_Y2 = '[{"c":"1","i":0,"j":2}]'
@@ -118,6 +124,29 @@ def test_chain_builds_the_line_family_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == {"build_lines": 1, "evaluate": 3 * 3}
     assert report["results"]["size_x"] > 0
+
+
+def test_energy_check_catches_a_mass_preserving_section_defect(tmp_path, monkeypatch,
+                                                              capsys):
+    section = quotients.vertical_section
+    calls = []
+
+    def moves_one_unit(family, x):
+        out = section(family, x)
+        calls.append(x)
+        if len(calls) == 1:
+            # the mass |A|^2 is unchanged; sum n^2 rises by 2(b - a) + 2 > 0
+            lo, hi = min(out, key=out.get), max(out, key=out.get)
+            out[lo] -= 1
+            out[hi] += 1
+        return out
+
+    monkeypatch.setattr(quotients, "vertical_section", moves_one_unit)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert f"internal check failed: energy identity failed at {calls[0]}" in \
+        capsys.readouterr().err
 
 
 def test_failed_internal_check_exits_four(tmp_path, monkeypatch, capsys):
@@ -245,6 +274,29 @@ def test_bisector_report(tmp_path):
     assert res["quotient_crosscheck_ok"] is True
     rows = list(csv.reader(csv_path.open()))
     assert len(rows) == res["intercepts"] + 1
+
+
+def test_bisector_enumerates_the_intercepts_once(tmp_path, monkeypatch):
+    calls = {"enumerations": 0, "quotient": 0}
+    run_chunks, kernel = quotients.run_chunks, quotients._quotient_chunk
+
+    def counted_run(*args, **kwargs):
+        calls["enumerations"] += 1
+        return run_chunks(*args, **kwargs)
+
+    def counted_kernel(args):
+        calls["quotient"] += 1
+        return kernel(args)
+
+    monkeypatch.setattr(quotients, "run_chunks", counted_run)
+    # a second enumeration in bisectors would go through its own run_chunks
+    monkeypatch.setattr(bisectors, "run_chunks", counted_run, raising=False)
+    monkeypatch.setattr(quotients, "_quotient_chunk", counted_kernel)
+    code, report = run_cli(tmp_path, "bisector", "--set", AP3, "--workers", "1")
+    assert code == 0
+    assert calls == {"enumerations": 1, "quotient": 1}
+    assert report["results"]["intercepts"] == len(
+        brute_bisector_intercepts(GroundSet.of(1, 2, 3)))
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -400,8 +452,12 @@ def test_usage_error_exits_one():
 
 
 def test_module_entry_point_subprocess():
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(quotlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "quotlab.cli", "degeneracy", "--g", G_Y2],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["degenerate"] is True
