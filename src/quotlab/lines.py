@@ -6,11 +6,12 @@ line carrying their count, its multiplicity m.  The point weight n(x, y)
 counts the lines through (x, y) *with* multiplicity.
 
 Lines are grouped by slope into one integer table per family
-(LineMultiset.table) that every slope-pair kernel reads: slopes S = s*lb,
-intercepts C = c*lc, and the abscissa scale M, the lcm of all slope
-differences.  Lines of classes i < j cross at the x whose key
-x*lc*M/lb = (C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify
-x exactly and ascend with x, and only keys read out become Fractions.
+(LineMultiset.table): slopes S = s*lb, intercepts C = c*lc, and the
+abscissa scale M, the lcm of all slope differences.  Lines of classes
+i < j cross at the x whose key x*lc*M/lb = (C_i - C_j) * (M / (S_j - S_i))
+is an integer; keys identify x exactly and ascend with x.  The sweep
+below, the histogram and the quotient-set kernel of quotients.py all key
+by it with no gcd, and only keys read out become Fractions.
 
 Crossing points are never aggregated.  The sweep (crossing_weights) groups,
 on each line l, its crossings with the lines of higher slope by key; on
@@ -98,10 +99,10 @@ class LineMultiset:
     @property
     def table(self):
         """The slope classes in integer form, built on first use and read by
-        every slope-pair kernel: (SB, LB, intercept lists, multiplicity
-        lists, LC, M), one list per slope in ascending order, with M the
-        abscissa scale.  For the family of g over A x A the intercepts
-        -g(a, b) are the value table."""
+        the set, histogram and sweep kernels: (SB, LB, intercept lists,
+        multiplicity lists, LC, M), one list per slope in ascending order,
+        with M the abscissa scale.  For the family of g over A x A the
+        intercepts -g(a, b) are the value table."""
         if self._table is None:
             classes: dict[Fraction, list[Line]] = {}
             for line in self.lines:  # sorted by (slope, intercept)

@@ -9,22 +9,23 @@ The central objects for a bivariate g and a finite set A:
                     (denominator convention b1 - b2, so support(Q) = -X)
 
 Enumeration is organized per slope pair over the scaled table of the line
-family (LineMultiset.table), so g is evaluated only |A|^2 times.  The
-histogram counts value differences per slope pair under the family's
-integer abscissa keys and makes one Fraction per distinct key.
-verify_chain builds the family once, reads X off as -support(Q), and
-compares Q key by key with the lowest-slope-line sweep of lines.py, a
-second enumeration that groups the same crossings per line.  The set
-kernel behind quotient_set(g, A) serves the experiments that need X alone.
+family (LineMultiset.table), so g is evaluated only |A|^2 times.  Both
+kernels collect, per slope pair, the family's integer abscissa keys with
+no gcd and make one Fraction per distinct key: the histogram counts the
+keys; the set kernel behind quotient_set(g, A) keeps them, sorts them as
+integers and reads X as their negation.  verify_chain builds the family
+once, reads X off as -support(Q), and compares Q key by key with the
+lowest-slope-line sweep of lines.py, a second enumeration that groups the
+same crossings per line.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
@@ -36,13 +37,13 @@ from .sets import GroundSet, SetSpec, generate_set
 
 
 class QuotientSet:
-    """Sorted distinct quotient values, denominator convention b2 - b1."""
+    """Distinct quotient values, denominator convention b2 - b1, stored in
+    the order given; quotient_set passes them ascending."""
 
-    __slots__ = ("values", "_lookup")
+    __slots__ = ("values",)
 
     def __init__(self, values: Sequence[Fraction]):
-        self.values = tuple(sorted(values))
-        self._lookup = frozenset(self.values)
+        self.values = tuple(values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -51,10 +52,11 @@ class QuotientSet:
         return iter(self.values)
 
     def __contains__(self, value) -> bool:
-        return value in self._lookup
+        i = bisect_left(self.values, value)
+        return i < len(self.values) and self.values[i] == value
 
     def as_set(self) -> frozenset:
-        return self._lookup
+        return frozenset(self.values)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuotientSet) and self.values == other.values
@@ -94,66 +96,48 @@ class QuadrupleHistogram:
 
 # -- slope-pair kernels ---------------------------------------------------
 #
-# Both kernels walk LineMultiset.table, whose intercepts are
-# c = -g(a, b).  For u = g(a1, b_i) and v = g(a2, b_j), u - v = c_j - c_i,
-# so each kernel forms c_i - c_j and puts the sign into its scale factor.
+# Both kernels walk LineMultiset.table, whose intercepts are c = -g(a, b),
+# and key a crossing abscissa by one integer with no gcd: lines of classes
+# i < j cross at x = (c_i - c_j) / (b_j - b_i), keyed by C_i * f - C_j * f
+# with f = M / (S_j - S_i) (see lines.py).  The quotient
+# (u - v) / (b_j - b_i) of u = g(a1, b_i) and v = g(a2, b_j) is
+# (c_j - c_i) / (b_j - b_i) = -x, so X is read off the negated keys.
 
 
-def _slope_pair_tasks(table, workers: int) -> list[tuple]:
-    """Tasks for a slope-pair kernel: (table, pairs) per chunk of the
-    slope-class pairs (i, j), i < j, cut for ``workers``."""
-    n = len(table[0])
+def _slope_pair_tasks(sb, sc_lists, xscale, workers: int) -> list[tuple]:
+    """Tasks for a slope-pair kernel: ((SB, intercept lists, M), pairs) per
+    chunk of the slope-class pairs (i, j), i < j, cut for ``workers``."""
+    n = len(sb)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = (sb, sc_lists, xscale)
     return [(table, pairs[start:stop]) for start, stop in chunk_ranges(len(pairs), workers)]
 
 
-def _fold_scale(num: int, den: int) -> tuple[int, int]:
-    """Reduce the constant factor num/den to (mul, den) with den > 0.
-
-    The set kernel scales each integer difference by mul and reduces it
-    against den; the order of the slopes in ``den`` fixes the sign."""
-    g0 = gcd(num, den)
-    mul, den = num // g0, den // g0
-    if den < 0:
-        mul, den = -mul, -den
-    return mul, den
+def _abscissa_keys(table, i: int, j: int) -> list[int]:
+    """The abscissa key of every intercept pair of slope classes i < j."""
+    sb, sc_lists, xscale = table
+    f = xscale // (sb[j] - sb[i])
+    right = [c * f for c in sc_lists[j]]
+    return [u - v for u in [c * f for c in sc_lists[i]] for v in right]
 
 
 def _quotient_chunk(args):
-    """Distinct canonical quotient pairs for a chunk of slope pairs."""
-    (sb, lb, sc_lists, _mult_lists, lc, _xscale), pairs = args
-    out: set[tuple[int, int]] = set()
-    _gcd = gcd
+    """Distinct abscissa keys for a chunk of slope pairs; the reversed slope
+    order gives the same values, so each unordered pair runs once."""
+    table, pairs = args
+    out: set[int] = set()
     for i, j in pairs:
-        # value = (u - v) / (b_j - b_i) = (c_i - c_j) / (b_i - b_j); the
-        # reversed slope order yields the same value set.
-        mul, den = _fold_scale(lb, (sb[i] - sb[j]) * lc)
-        cj_list = sc_lists[j]
-        diffs: set[int] = set()
-        for ci in sc_lists[i]:
-            diffs.update([ci - cj for cj in cj_list])
-        add = out.add
-        for d in diffs:
-            p = d * mul
-            if p == 0:
-                add((0, 1))
-            else:
-                g1 = _gcd(p, den)
-                add((p // g1, den // g1))
+        out.update(_abscissa_keys(table, i, j))
     return out
 
 
 def _histogram_chunk(args):
     """Abscissa key -> unordered value pairs for a chunk of slope pairs;
     each slope class arrives as its intercepts repeated by multiplicity."""
-    (sb, _lb, sc_lists, _mult_lists, _lc, xscale), pairs = args
+    table, pairs = args
     out: Counter = Counter()
     for i, j in pairs:
-        # abscissa = (u - v) / (b_i - b_j) = (c_i - c_j) / (b_j - b_i), whose
-        # key is c_i * f - c_j * f in scaled integers
-        f = xscale // (sb[j] - sb[i])
-        right = [c * f for c in sc_lists[j]]
-        out.update([u - v for u in [c * f for c in sc_lists[i]] for v in right])
+        out.update(_abscissa_keys(table, i, j))
     return out
 
 
@@ -162,12 +146,15 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     with b1 != b2, deduplicated.  Empty when |A| < 2."""
     if len(ground) < 2:
         return QuotientSet(())
-    tasks = _slope_pair_tasks(build_lines(g, ground, ground).table, workers)
-    parts = run_chunks(_quotient_chunk, tasks, workers)
-    merged: set[tuple[int, int]] = set()
-    for part in parts:
+    family = build_lines(g, ground, ground)
+    sb, _, sc_lists, _, _, xscale = family.table
+    tasks = _slope_pair_tasks(sb, sc_lists, xscale, workers)
+    merged: set[int] = set()
+    for part in run_chunks(_quotient_chunk, tasks, workers):
         merged |= part
-    return QuotientSet(Fraction(p, q) for p, q in merged)
+    # keys ascend with x, so descending keys give ascending values -x
+    num, den = family.key_scale
+    return QuotientSet([Fraction(-k * num, den) for k in sorted(merged, reverse=True)])
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
@@ -175,10 +162,10 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
-    sb, lb, sc_lists, mult_lists, lc, xscale = family.table
+    sb, _, sc_lists, mult_lists, _, xscale = family.table
     expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
                 for cs, ms in zip(sc_lists, mult_lists)]
-    tasks = _slope_pair_tasks((sb, lb, expanded, mult_lists, lc, xscale), workers)
+    tasks = _slope_pair_tasks(sb, expanded, xscale, workers)
     merged: Counter = Counter()
     for part in run_chunks(_histogram_chunk, tasks, workers):
         merged.update(part)  # a plain dict update while merged is empty

@@ -18,29 +18,36 @@ from quotlab.polynomials import Poly
 from quotlab.sets import GroundSet
 
 
+def _brute_values(g: Poly, elems: list) -> dict:
+    """g(a, b) for every (a, b) in A x A, each evaluated once."""
+    return {(a, b): g.evaluate((a, b)) for a in elems for b in elems}
+
+
 def brute_quotient_set(g: Poly, ground: GroundSet) -> set[Fraction]:
     values = set()
     elems = list(ground)
+    gv = _brute_values(g, elems)
     for a1 in elems:
         for a2 in elems:
             for b1 in elems:
                 for b2 in elems:
                     if b1 == b2:
                         continue
-                    values.add((g.evaluate((a1, b1)) - g.evaluate((a2, b2))) / (b2 - b1))
+                    values.add((gv[a1, b1] - gv[a2, b2]) / (b2 - b1))
     return values
 
 
 def brute_quadruple_histogram(g: Poly, ground: GroundSet) -> dict[Fraction, int]:
     counts: dict[Fraction, int] = {}
     elems = list(ground)
+    gv = _brute_values(g, elems)
     for a1 in elems:
         for a2 in elems:
             for b1 in elems:
                 for b2 in elems:
                     if b1 == b2:
                         continue
-                    x = (g.evaluate((a1, b1)) - g.evaluate((a2, b2))) / (b1 - b2)
+                    x = (gv[a1, b1] - gv[a2, b2]) / (b1 - b2)
                     counts[x] = counts.get(x, 0) + 1
     return counts
 

@@ -220,6 +220,37 @@ def test_points_csv_bytes_are_unchanged(tmp_path):
             assert hashlib.sha256(pts_path.read_bytes()).hexdigest() == digest
 
 
+VALUES_CSV_SHA256 = {
+    (G_XY, 1, 6): "7571e67f0a0f0f0c4b2797146d5b80bab910a9d04c2254744e1c97cc8557ec7c",
+    (G_X2_PLUS_Y, -4, 9): "4f60eed1072f741c98aa0a429c80a6935877cf0dbc8ddda6d4c7bb18cd35308f",
+}
+# the first set the bisector-rand benchmark draws with seed 1
+BISECTOR_RAND_SET = ["1", "4", "9", "13", "16", "18", "27", "33", "49", "50",
+                     "56", "58", "61", "63", "64", "73", "78", "84", "98", "99"]
+INTERCEPTS_CSV_SHA256 = "b06370d677c1f5c278a64e2388ce8be3e7e9d5295e0465554ecc1c6da583204a"
+
+
+def test_values_csv_bytes_are_unchanged(tmp_path):
+    for (g, start, size), digest in VALUES_CSV_SHA256.items():
+        spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
+        for workers in ("1", "2"):
+            values_path = tmp_path / f"values_{start}_{workers}.csv"
+            code, _ = run_cli(tmp_path, "quotient", "--g", g, "--set", spec,
+                              "--values-out", str(values_path), "--workers", workers)
+            assert code == 0
+            assert hashlib.sha256(values_path.read_bytes()).hexdigest() == digest
+
+
+def test_intercepts_csv_bytes_are_unchanged(tmp_path):
+    spec = json.dumps({"kind": "explicit", "values": BISECTOR_RAND_SET})
+    for workers in ("1", "2"):
+        csv_path = tmp_path / f"intercepts_{workers}.csv"
+        code, _ = run_cli(tmp_path, "bisector", "--set", spec,
+                          "--intercepts-out", str(csv_path), "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == INTERCEPTS_CSV_SHA256
+
+
 def test_rich_points_threshold_below_two_is_input_error(tmp_path):
     code, _ = run_cli(tmp_path, "rich-points", "--g", G_X, "--set", AP3,
                       "--thresholds", "1")

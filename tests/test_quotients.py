@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotlab.bisectors import intercept_quotient_poly
 from quotlab.errors import DegenerateError, InputError
 from quotlab.lines import build_lines
 from quotlab.polynomials import Poly
@@ -48,6 +49,7 @@ def test_quotient_set_difference_ratio_example():
     assert list(xs) == [frac(-2), frac(-1), frac(-1, 2), frac(0),
                         frac(1, 2), frac(1), frac(2)]
     assert len(xs) == 7
+    assert frac(-1, 2) in xs and frac(1, 3) not in xs and frac(3) not in xs
 
 
 def test_quotient_set_singleton_is_empty():
@@ -65,7 +67,7 @@ def test_quotient_set_matches_brute_force(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng, require_x=False)
     ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
-    assert quotient_set(g, ground).as_set() == brute_quotient_set(g, ground)
+    assert quotient_set(g, ground).values == tuple(sorted(brute_quotient_set(g, ground)))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -76,6 +78,30 @@ def test_quotient_set_monotone_under_inclusion(seed):
     big = random_ground_set(rng, 6)
     small = GroundSet(list(big)[:4])
     assert quotient_set(g, small).as_set() <= quotient_set(g, big).as_set()
+
+
+ORDER_FAMILIES = {
+    # M over 1,000 bits: keys far beyond machine words
+    "big-m": (G_XY, GroundSet.of(*random.Random(1606).sample(range(1, 10 ** 6), 16))),
+    # slope and intercept scales lb, lc != 1, and keys of both signs
+    "rational-negatives": (Poly(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)}),
+                           GroundSet(Fraction(p, q) for p, q in
+                                     ((1, 2), (2, 3), (-3, 5), (7, 4), (-2, 1), (0, 1), (5, 3)))),
+    # a and -a give the same line: multiplicities 1 and 2
+    "repeated-lines": (Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)}),
+                       GroundSet.of(*range(-6, 7))),
+    "bisector-quadratic": (intercept_quotient_poly(),
+                           GroundSet.of(1, 4, 9, 13, 16, 18, 27, 33, 49, 50)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_FAMILIES))
+def test_quotient_set_values_ascend(name):
+    g, ground = ORDER_FAMILIES[name]
+    expected = tuple(sorted(brute_quotient_set(g, ground)))
+    assert expected != tuple(sorted(-x for x in expected))  # a sign flip shows
+    for workers in (1, 2, 3):
+        assert quotient_set(g, ground, workers=workers).values == expected
 
 
 def test_quotient_set_workers_equivalent():
