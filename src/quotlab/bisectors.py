@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import InputError
 from .polynomials import Poly
-from .quotients import quotient_set
+from .quotients import QuotientSet, quotient_set
 from .sets import GroundSet
 
 
@@ -33,18 +33,16 @@ def intercept_quotient_poly() -> Poly:
 
 @dataclass(frozen=True)
 class InterceptSet:
-    """Distinct bisector intercepts of the grid A x A with pair counts."""
+    """Distinct bisector intercepts of the grid A x A with pair counts;
+    ``values`` is the quotient set they are read from."""
 
-    values: tuple[Fraction, ...]
+    values: QuotientSet
     grid_size: int
     pairs_considered: int
     pairs_skipped: int
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.values)
 
 
 def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
@@ -55,7 +53,7 @@ def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
     n = len(ground)
     if n < 2:
         raise InputError("bisector experiment needs |A| >= 2")
-    values = quotient_set(intercept_quotient_poly(), ground, workers).values
+    values = quotient_set(intercept_quotient_poly(), ground, workers)
     skipped = n * comb(n, 2)
     return InterceptSet(values=values, grid_size=n * n,
                         pairs_considered=comb(n * n, 2) - skipped,

@@ -11,12 +11,14 @@ The central objects for a bivariate g and a finite set A:
 Enumeration is organized per slope pair over the scaled table of the line
 family (LineMultiset.table), so g is evaluated only |A|^2 times.  Both
 kernels collect, per slope pair, the family's integer abscissa keys with
-no gcd and make one Fraction per distinct key: the histogram counts the
-keys; the set kernel behind quotient_set(g, A) keeps them, sorts them as
-integers and reads X as their negation.  verify_chain builds the family
-once, reads X off as -support(Q), and compares Q key by key with the
-lowest-slope-line sweep of lines.py, a second enumeration that groups the
-same crossings per line.
+no gcd: the histogram counts the keys; the set kernel behind
+quotient_set(g, A) keeps the distinct ones, and X is their negation.
+QuotientSet and QuadrupleHistogram hold the keys and the family's
+key_scale; a value becomes a Fraction only when it is read (key_value),
+so a run that reports |X| alone builds none.  verify_chain builds the
+family once, reads X off as -support(Q), and compares Q key by key with
+the lowest-slope-line sweep of lines.py, a second enumeration that groups
+the same crossings per line.
 """
 
 from __future__ import annotations
@@ -36,24 +38,43 @@ from .polynomials import Poly, degeneracy_test
 from .sets import GroundSet, SetSpec, generate_set
 
 
+def key_value(key: int, scale: tuple[int, int]) -> Fraction:
+    """The abscissa x = key * num / den of a key under ``scale`` = (num, den),
+    a family's key_scale (see lines.py)."""
+    num, den = scale
+    return Fraction(key * num, den)
+
+
 class QuotientSet:
-    """Distinct quotient values, denominator convention b2 - b1, stored in
-    the order given; quotient_set passes them ascending."""
+    """Distinct quotient values, denominator convention b2 - b1: the
+    negated abscissa keys of a family under its key_scale.  ``values``,
+    ascending, is built on first use; ``len`` reads the keys."""
 
-    __slots__ = ("values",)
+    __slots__ = ("keys", "scale", "_values")
 
-    def __init__(self, values: Sequence[Fraction]):
-        self.values = tuple(values)
+    def __init__(self, keys: set[int], scale: tuple[int, int]):
+        self.keys = keys
+        self.scale = scale
+        self._values = None
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            # keys ascend with x, so descending keys give ascending values -x
+            self._values = tuple(key_value(-k, self.scale)
+                                 for k in sorted(self.keys, reverse=True))
+        return self._values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
 
     def __contains__(self, value) -> bool:
-        i = bisect_left(self.values, value)
-        return i < len(self.values) and self.values[i] == value
+        values = self.values
+        i = bisect_left(values, value)
+        return i < len(values) and values[i] == value
 
     def as_set(self) -> frozenset:
         return frozenset(self.values)
@@ -62,22 +83,29 @@ class QuotientSet:
         return isinstance(other, QuotientSet) and self.values == other.values
 
     def __repr__(self) -> str:
-        return f"QuotientSet(size={len(self.values)})"
+        return f"QuotientSet(size={len(self)})"
 
 
 class QuadrupleHistogram:
     """Exact Q(x) per crossing abscissa; total = |A|^3 (|A| - 1).
 
     ``pairs_by_key``: Q(x)/2 under the family's integer abscissa keys (see
-    lines.py), ascending; the chain compares it with the sweep."""
+    lines.py), ascending; the chain compares it with the sweep.  ``counts``
+    (x -> Q(x), ascending) and ``support`` are built on first use."""
 
-    __slots__ = ("counts", "pairs_by_key")
+    __slots__ = ("pairs_by_key", "scale", "_counts")
 
-    def __init__(self, counts: dict[Fraction, int],
-                 pairs_by_key: dict[int, int] | None = None):
-        # quadruple_histogram passes both in ascending x, as keys ascend with x
-        self.counts = dict(sorted(counts.items())) if pairs_by_key is None else counts
+    def __init__(self, pairs_by_key: dict[int, int], scale: tuple[int, int]):
         self.pairs_by_key = pairs_by_key
+        self.scale = scale
+        self._counts = None
+
+    @property
+    def counts(self) -> dict[Fraction, int]:
+        if self._counts is None:
+            self._counts = {key_value(k, self.scale): 2 * q
+                            for k, q in self.pairs_by_key.items()}
+        return self._counts
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -85,13 +113,13 @@ class QuadrupleHistogram:
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return 2 * sum(self.pairs_by_key.values())
 
     def __getitem__(self, x: Fraction) -> int:
         return self.counts.get(x, 0)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.pairs_by_key)
 
 
 # -- slope-pair kernels ---------------------------------------------------
@@ -145,16 +173,14 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     """All values (g(a1,b1) - g(a2,b2))/(b2 - b1) over quadruples from A
     with b1 != b2, deduplicated.  Empty when |A| < 2."""
     if len(ground) < 2:
-        return QuotientSet(())
+        return QuotientSet(set(), (1, 1))
     family = build_lines(g, ground, ground)
     sb, _, sc_lists, _, _, xscale = family.table
     tasks = _slope_pair_tasks(sb, sc_lists, xscale, workers)
     merged: set[int] = set()
     for part in run_chunks(_quotient_chunk, tasks, workers):
         merged |= part
-    # keys ascend with x, so descending keys give ascending values -x
-    num, den = family.key_scale
-    return QuotientSet([Fraction(-k * num, den) for k in sorted(merged, reverse=True)])
+    return QuotientSet(merged, family.key_scale)
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
@@ -170,10 +196,7 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
     for part in run_chunks(_histogram_chunk, tasks, workers):
         merged.update(part)  # a plain dict update while merged is empty
     # each unordered slope pair stands for both ordered ones: Q = 2 * pairs
-    pairs_by_key = dict(sorted(merged.items()))
-    num, den = family.key_scale
-    return QuadrupleHistogram({Fraction(k * num, den): 2 * q for k, q in pairs_by_key.items()},
-                              pairs_by_key)
+    return QuadrupleHistogram(dict(sorted(merged.items())), family.key_scale)
 
 
 # -- the verification chain ------------------------------------------------
@@ -253,7 +276,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
             max_point_weight=0, point_weight_cap=degree * n,
             point_weight_within_cap=True, energy_bound_ratio=None,
             energy_bound_ratio_excl_zero=None, inferred_lower_bound=0.0,
-            histogram=QuadrupleHistogram({}), links={"empty_instance": True})
+            histogram=QuadrupleHistogram({}, (1, 1)), links={"empty_instance": True})
 
     family = build_lines(g, ground, ground)
     # The histogram runs first: the sweep's memory check needs |X|.
@@ -270,31 +293,30 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
         raise InternalCheckError(
             f"the sweep visited {sweep.pairs} line pairs, not the "
             f"{crossing_pair_count(family)} pairs of distinct slopes")
-    swept, expected = sweep.pairs_by_key, hist.pairs_by_key
-    if swept.keys() != expected.keys():
+    swept, pairs = sweep.pairs_by_key, hist.pairs_by_key  # Q(x)/2 by key
+    if swept.keys() != pairs.keys():
         raise InternalCheckError("crossing abscissas differ from histogram support")
-    if swept != expected:
-        key = next(k for k, q in expected.items() if swept[k] != q)
-        num, den = family.key_scale
+    if swept != pairs:
+        key = next(k for k, q in pairs.items() if swept[k] != q)
         raise InternalCheckError(
-            f"per-abscissa quadruple identity failed at {Fraction(key * num, den)}")
+            f"per-abscissa quadruple identity failed at {key_value(key, family.key_scale)}")
     # summed over x in support(Q), sum_y n(x, y)^2 = Q(x) + t2
     energy_support = quadruple_total + size_x * t2
     max_point_weight = max(sweep.weights, default=0)
 
-    support = hist.support
-    sampled = {support[0], support[len(support) // 2], support[-1]}
-    for x in sampled:
+    keys = list(pairs)
+    sampled = {keys[0], keys[len(keys) // 2], keys[-1]}
+    for key in sampled:
+        x = key_value(key, family.key_scale)
         section = vertical_section(family, x).values()
         if sum(section) != n * n:
             raise InternalCheckError(f"vertical mass at {x} is not |A|^2")
-        if sum(m * m for m in section) != hist[x] + t2:
+        if sum(m * m for m in section) != 2 * pairs[key] + t2:
             raise InternalCheckError(f"energy identity failed at {x}")
 
-    zero = Fraction(0)
-    zero_in_support = zero in hist.counts
+    zero_in_support = 0 in pairs  # the key of x = 0 is 0
     if zero_in_support:
-        energy_excl = energy_support - (hist[zero] + t2)
+        energy_excl = energy_support - (2 * pairs[0] + t2)
         size_excl = size_x - 1
     else:
         energy_excl = energy_support
@@ -316,7 +338,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
         energy_support=energy_support,
         energy_support_excl_zero=energy_excl,
         zero_in_support=zero_in_support,
-        size_bound_ok=Fraction(size_x) <= size_bound_limit,
+        size_bound_ok=size_x <= size_bound_limit,
         size_bound_limit=size_bound_limit,
         max_line_multiplicity=family.max_multiplicity,
         line_multiplicity_within_degree=family.max_multiplicity <= degree,

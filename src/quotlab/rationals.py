@@ -1,14 +1,15 @@
 """Exact rational scalars in canonical form.
 
-Every scalar in quotlab is a ``fractions.Fraction``: arbitrary precision,
-reduced eagerly on construction, with denominator > 0 and zero stored as
-0/1.  That makes equality structural and lets rationals serve directly as
-sort keys and dict/set keys in the hot enumeration loops.
+Every scalar quotlab takes or returns is a ``fractions.Fraction``:
+arbitrary precision, reduced eagerly on construction, with denominator > 0
+and zero stored as 0/1.  That makes equality structural, so returned
+rationals serve directly as sort keys and dict/set keys.
 
 The module adds the strict text form used by config and report files
-("p/q", or "p" when the denominator is 1) and ``scaled_ints``, which the
-kernels use to stay in plain ``int`` arithmetic (much less overhead than
-Fraction objects).
+("p/q", or "p" when the denominator is 1) and ``scaled_ints``.  The hot
+enumeration loops use no Fractions: they run on the integers of
+``scaled_ints`` (much less overhead than Fraction objects), and a result
+becomes Fractions only when its values are read.
 """
 
 from __future__ import annotations

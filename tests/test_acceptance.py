@@ -266,15 +266,15 @@ def test_criterion_8_bisector_corollary():
         ground = random_ground_set(rng, rng.randint(2, 12) if k else 12,
                                    rational=bool(k % 2))
         intercepts = bisector_intercept_set(ground)
-        assert intercepts.as_set() == brute_bisector_intercepts(ground)
-        assert intercepts.as_set() == constructed_bisector_intercepts(ground)
+        assert intercepts.values.as_set() == brute_bisector_intercepts(ground)
+        assert intercepts.values.as_set() == constructed_bisector_intercepts(ground)
         assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
             brute_grid_pair_counts(ground)
     # the sign-flipped scaled variant -2(x^2 - y^2) is refuted on a witness
     witness = GroundSet.of(0, 1, 3)
     flipped = Poly(2, {(2, 0): Fraction(-2), (0, 2): Fraction(2)})
     assert quotient_set(flipped, witness).as_set() != \
-        bisector_intercept_set(witness).as_set()
+        bisector_intercept_set(witness).values.as_set()
     report_line(8, True, "quotient set of -(x^2+y^2)/2 = bisector intercepts by "
                          "closed form and by construction on 10 seeded "
                          "instances; pair counts = direct count; sign-flipped "

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import quotlab
@@ -228,6 +229,11 @@ VALUES_CSV_SHA256 = {
 BISECTOR_RAND_SET = ["1", "4", "9", "13", "16", "18", "27", "33", "49", "50",
                      "56", "58", "61", "63", "64", "73", "78", "84", "98", "99"]
 INTERCEPTS_CSV_SHA256 = "b06370d677c1f5c278a64e2388ce8be3e7e9d5295e0465554ecc1c6da583204a"
+# written when the histogram built its Fraction counts eagerly
+HISTOGRAM_CSV_SHA256 = {
+    (G_XY, 1, 6): "d8e2b170c659b2e4dbada1f794773f2f690092e2d43c48a6a1ccccbd1d71ce77",
+    (G_X2_PLUS_Y, -4, 9): "0c606f1168c56abc7f801b2a287c1d2ae6870bccbb98693c8f7fe60ff22aa013",
+}
 
 
 def test_values_csv_bytes_are_unchanged(tmp_path):
@@ -249,6 +255,57 @@ def test_intercepts_csv_bytes_are_unchanged(tmp_path):
                           "--intercepts-out", str(csv_path), "--workers", workers)
         assert code == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == INTERCEPTS_CSV_SHA256
+
+
+def test_histogram_csv_bytes_are_unchanged(tmp_path):
+    for (g, start, size), digest in HISTOGRAM_CSV_SHA256.items():
+        spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
+        for workers in ("1", "2"):
+            hist_path = tmp_path / f"hist_{start}_{workers}.csv"
+            code, _ = run_cli(tmp_path, "chain", "--g", g, "--set", spec,
+                              "--histogram-out", str(hist_path), "--workers", workers)
+            assert code == 0
+            assert hashlib.sha256(hist_path.read_bytes()).hexdigest() == digest
+
+
+def count_fractions(monkeypatch) -> list:
+    """The Fractions quotlab.quotients builds from now on, in order."""
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            value = Fraction(*args, **kwargs)
+            built.append(value)
+            return value
+
+    monkeypatch.setattr(quotients, "Fraction", Counted)
+    return built
+
+
+def test_count_only_runs_build_no_quotient_values(tmp_path, monkeypatch):
+    built = count_fractions(monkeypatch)
+    spec = json.dumps({"kind": "explicit", "values": BISECTOR_RAND_SET})
+    code, report = run_cli(tmp_path, "bisector", "--set", spec, "--workers", "1")
+    assert code == 0
+    assert report["results"]["intercepts"] > 50000
+    code, report = run_cli(tmp_path, "exponent-scan", "--g", G_XY, "--set", AP3,
+                           "--sizes", "4,8,16", "--workers", "1")
+    assert code == 0
+    assert report["results"]["rows"][-1]["quotients"] > 1000
+    assert built == []
+
+
+def test_chain_reads_out_only_the_sampled_abscissas(tmp_path, monkeypatch):
+    built = count_fractions(monkeypatch)
+    spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 6})
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", spec, "--workers", "1")
+    assert code == 0
+    results = report["results"]
+    assert results["size_x"] > 100
+    assert results["links"]["vertical_mass_samples"] == 3
+    # the three sampled abscissas, then size_bound_limit
+    assert len(built) <= 3 + 1
+    assert built[-1] == Fraction(results["size_bound_limit"])
 
 
 def test_rich_points_threshold_below_two_is_input_error(tmp_path):
@@ -492,3 +549,16 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["degenerate"] is True
+
+
+def test_cli_import_leaves_the_pool_machinery_unloaded():
+    # set-up time: only runs with a pool import concurrent.futures
+    src = str(Path(quotlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quotlab.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

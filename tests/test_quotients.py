@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -102,6 +103,71 @@ def test_quotient_set_values_ascend(name):
     assert expected != tuple(sorted(-x for x in expected))  # a sign flip shows
     for workers in (1, 2, 3):
         assert quotient_set(g, ground, workers=workers).values == expected
+
+
+# big-m is left out: its brute-force histogram alone takes seconds, and
+# test_quotient_set_values_ascend reads its values first already
+FIRST_USE_FAMILIES = {**{name: family for name, family in ORDER_FAMILIES.items()
+                         if name != "big-m"},
+                      "singleton": (G_XY, interval(3))}
+
+
+@functools.cache
+def brute_first_use(name):
+    g, ground = FIRST_USE_FAMILIES[name]
+    return (tuple(sorted(brute_quotient_set(g, ground))),
+            dict(sorted(brute_quadruple_histogram(g, ground).items())))
+
+
+def non_members(ascending):
+    """Rationals outside a sorted set: past both ends and between neighbours."""
+    if not ascending:
+        return [frac(0), frac(1, 3)]
+    gaps = [(u + v) / 2 for u, v in zip(ascending, ascending[1:])]
+    return [ascending[0] - 1, ascending[-1] + 1, *gaps]
+
+
+# Each check makes the first use of ``xs``, a fresh result; ``fresh()``
+# makes another.
+QUOTIENT_FIRST_USES = {
+    "len": lambda xs, fresh, expected: len(xs) == len(expected),
+    "in": lambda xs, fresh, expected: (all(v in xs for v in expected)
+                                       and not any(v in xs for v in non_members(expected))),
+    "==": lambda xs, fresh, expected: (xs == fresh()
+                                       and (xs == quotient_set(G_X, interval(1))) == (not expected)),
+    "as_set": lambda xs, fresh, expected: xs.as_set() == frozenset(expected),
+    "iter": lambda xs, fresh, expected: tuple(xs) == expected,
+    "values": lambda xs, fresh, expected: xs.values == expected,
+}
+
+HISTOGRAM_FIRST_USES = {
+    "len": lambda hist, expected: len(hist) == len(expected),
+    "total": lambda hist, expected: hist.total == sum(expected.values()),
+    "support": lambda hist, expected: hist.support == tuple(expected),
+    "counts": lambda hist, expected: list(hist.counts.items()) == list(expected.items()),
+    "getitem": lambda hist, expected: (all(hist[x] == q for x, q in expected.items())
+                                       and all(hist[x] == 0 for x in non_members(tuple(expected)))),
+}
+
+
+@pytest.mark.parametrize("use", sorted(QUOTIENT_FIRST_USES))
+@pytest.mark.parametrize("name", sorted(FIRST_USE_FAMILIES))
+def test_quotient_set_first_use_matches_brute_force(name, use):
+    g, ground = FIRST_USE_FAMILIES[name]
+    expected, _ = brute_first_use(name)
+    for workers in (1, 2):
+        def fresh():
+            return quotient_set(g, ground, workers=workers)
+        assert QUOTIENT_FIRST_USES[use](fresh(), fresh, expected)
+
+
+@pytest.mark.parametrize("use", sorted(HISTOGRAM_FIRST_USES))
+@pytest.mark.parametrize("name", sorted(FIRST_USE_FAMILIES))
+def test_histogram_first_use_matches_brute_force(name, use):
+    g, ground = FIRST_USE_FAMILIES[name]
+    _, expected = brute_first_use(name)
+    for workers in (1, 2):
+        assert HISTOGRAM_FIRST_USES[use](histogram(g, ground, workers=workers), expected)
 
 
 def test_quotient_set_workers_equivalent():
