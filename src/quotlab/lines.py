@@ -9,9 +9,9 @@ Lines are grouped by slope into one integer table per family
 (LineMultiset.table): slopes S = s*lb, intercepts C = c*lc, and the
 abscissa scale M, the lcm of all slope differences.  Lines of classes
 i < j cross at the x whose key x*lc*M/lb = (C_i - C_j) * (M / (S_j - S_i))
-is an integer; keys identify x exactly and ascend with x.  The sweep
-below, the histogram and the quotient-set kernel of quotients.py all key
-by it with no gcd, and only keys read out become Fractions.
+is an integer; keys identify x exactly and ascend with x.  The slope-pair
+walk (pair_keys, read by quotients.py) and the sweep below are separate
+enumerations keyed by it with no gcd; only keys read out become Fractions.
 
 Crossing points are never aggregated.  The sweep (crossing_weights) groups,
 on each line l, its crossings with the lines of higher slope by key; on
@@ -28,8 +28,8 @@ m_l + M_l = T_r = m_r + ... + m_k.  So, for any multiplicities:
     with c >= 2 telescope to +1 at n per point: the histogram of n.
 
 A process holds the groups of one line and, for the chain, one count per
-abscissa.  Shards are ranges of slope classes, merged by addition.  Only
-rich-points --points-out keeps the points.
+abscissa.  Only rich-points --points-out keeps the points.  Both
+enumerations shard by _class_shards and merge the shards in range order.
 """
 
 from __future__ import annotations
@@ -149,6 +149,37 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
     return section
 
 
+# -- the slope-pair walk ----------------------------------------------------
+
+
+def _pair_keys_chunk(args):
+    """Add the abscissa key of every intercept pair of slope classes i < j,
+    i in [lo, hi), to ``collect()``: a set of the distinct keys, or a
+    Counter of the pairs per key.  Top-level so process pools can pickle it.
+    """
+    table, lo, hi, collect = args
+    sb, columns, xscale = table
+    out = collect()
+    for i in range(lo, hi):
+        for j in range(i + 1, len(sb)):
+            f = xscale // (sb[j] - sb[i])
+            right = [c * f for c in columns[j]]
+            out.update([u - v for u in [c * f for c in columns[i]] for v in right])
+    return out
+
+
+def pair_keys(family: LineMultiset, columns: list[list[int]], collect, workers: int):
+    """The keys of the crossings of ``columns`` (scaled intercepts, one list
+    per slope class of ``family``) merged into one ``collect()``."""
+    sb, _lb, _sc, _mults, _lc, xscale = family.table
+    tasks = [((sb, columns, xscale), lo, hi, collect)
+             for lo, hi in _class_shards(family, workers)]
+    merged = collect()
+    for part in run_chunks(_pair_keys_chunk, tasks, workers):
+        merged.update(part)
+    return merged
+
+
 # -- the lowest-slope-line sweep -------------------------------------------
 
 
@@ -249,11 +280,12 @@ def crossing_pair_count(family: LineMultiset) -> int:
     return (total * total - sum(s * s for s in sizes)) // 2
 
 
-def _sweep_shards(family: LineMultiset, workers: int) -> list[tuple[int, int]]:
-    """At most ``workers`` contiguous ranges of slope classes, each closed
-    once the ranges so far sweep their share of the line pairs (class i
-    sweeps |class i| times the lines above it).  A family of one slope
-    class gets one empty range, so that its results keep their form."""
+def _class_shards(family: LineMultiset, workers: int) -> list[tuple[int, int]]:
+    """The shards of the pair walk and the sweep: at most ``workers``
+    contiguous ranges of slope classes, each closed once the ranges so far
+    hold their share of the line pairs (class i pairs |class i| times the
+    lines above it).  A family of one slope class gets one empty range, so
+    that its results keep their form."""
     sizes = [len(cs) for cs in family.table[2]]
     above, total = sum(sizes), crossing_pair_count(family)
     shards: list[tuple[int, int]] = []
@@ -278,7 +310,7 @@ def check_crossing_memory(family: LineMultiset, workers: int, support_size: int 
     physical memory: (|L| + |X|) entries in each shard and, with a pool, in
     the merging parent, plus, for materialized points, one point per line
     pair of distinct slopes (a bound on their number)."""
-    n_shards = len(_sweep_shards(family, workers))
+    n_shards = len(_class_shards(family, workers))
     processes = n_shards + 1 if uses_pool(n_shards, workers) else 1
     estimate = (len(family) + support_size) * SWEEP_ENTRY_BYTES * processes
     detail = (f"({len(family)} lines + {support_size} abscissas) x {SWEEP_ENTRY_BYTES} B "
@@ -304,7 +336,7 @@ def crossing_weights(family: LineMultiset, workers: int = 1, *,
     ``points`` keeps every crossing point."""
     check_crossing_memory(family, workers, support_size or 0, points)
     tasks = [(family.table, lo, hi, support_size is not None, points)
-             for lo, hi in _sweep_shards(family, workers)]
+             for lo, hi in _class_shards(family, workers)]
     return CrossingWeights(run_chunks(_sweep_chunk, tasks, workers), family.key_scale)
 
 

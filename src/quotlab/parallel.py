@@ -1,11 +1,11 @@
 """Deterministic work partitioning.
 
-Kernels enumerate a fixed, sorted task list (slope-class pairs or
-slope-class ranges).  With ``workers`` > 1 the list is cut into
-contiguous chunks that run in a process pool; partial aggregates are
-merged in chunk order, so the result is bit-identical for every worker
-count.  If a pool cannot be created (restricted sandboxes), chunks run
-sequentially with the same merge order, which cannot change the output.
+Kernels hand run_chunks one task per contiguous range of slope classes
+(lines._class_shards, at most ``workers`` of them).  With ``workers`` > 1
+the tasks run in a process pool; partial aggregates are merged in task
+order, so the result is bit-identical for every worker count.  If a pool
+cannot be created (restricted sandboxes), tasks run sequentially with the
+same merge order, which cannot change the output.
 Running out of memory, or a worker that dies (say, by the OOM killer),
 raises ResourceCapError.
 """
@@ -18,21 +18,6 @@ from .errors import ResourceCapError
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def chunk_ranges(n_items: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) ranges covering ``n_items``, one per chunk."""
-    chunks = max(1, min(workers, n_items)) if n_items else 0
-    if chunks == 0:
-        return []
-    base, extra = divmod(n_items, chunks)
-    ranges = []
-    start = 0
-    for k in range(chunks):
-        stop = start + base + (1 if k < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
 
 
 def uses_pool(n_tasks: int, workers: int) -> bool:

@@ -8,11 +8,10 @@ The central objects for a bivariate g and a finite set A:
                     whose lines y = b*x - g(a,b) cross at abscissa x
                     (denominator convention b1 - b2, so support(Q) = -X)
 
-Enumeration is organized per slope pair over the scaled table of the line
-family (LineMultiset.table), so g is evaluated only |A|^2 times.  Both
-kernels collect, per slope pair, the family's integer abscissa keys with
-no gcd: the histogram counts the keys; the set kernel behind
-quotient_set(g, A) keeps the distinct ones, and X is their negation.
+Both are read off one walk over the slope-class pairs of the line family
+(lines.pair_keys), so g is evaluated only |A|^2 times.  The walk collects
+the family's integer abscissa keys with no gcd: quotient_set keeps the
+distinct ones, and X is their negation; the histogram counts them.
 QuotientSet and QuadrupleHistogram hold the keys and the family's
 key_scale; a value becomes a Fraction only when it is read (key_value),
 so a run that reports |X| alone builds none.  verify_chain builds the
@@ -32,8 +31,7 @@ from typing import Iterator, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
 from .lines import (LineMultiset, build_lines, crossing_pair_count, crossing_weights,
-                    vertical_section)
-from .parallel import chunk_ranges, run_chunks
+                    pair_keys, vertical_section)
 from .polynomials import Poly, degeneracy_test
 from .sets import GroundSet, SetSpec, generate_set
 
@@ -90,8 +88,9 @@ class QuadrupleHistogram:
     """Exact Q(x) per crossing abscissa; total = |A|^3 (|A| - 1).
 
     ``pairs_by_key``: Q(x)/2 under the family's integer abscissa keys (see
-    lines.py), ascending; the chain compares it with the sweep.  ``counts``
-    (x -> Q(x), ascending) and ``support`` are built on first use."""
+    lines.py), a plain dict in no particular order; the chain compares it
+    with the sweep.  ``counts`` (x -> Q(x), ascending in x) and ``support``
+    are built on first use."""
 
     __slots__ = ("pairs_by_key", "scale", "_counts")
 
@@ -103,8 +102,8 @@ class QuadrupleHistogram:
     @property
     def counts(self) -> dict[Fraction, int]:
         if self._counts is None:
-            self._counts = {key_value(k, self.scale): 2 * q
-                            for k, q in self.pairs_by_key.items()}
+            pairs = self.pairs_by_key
+            self._counts = {key_value(k, self.scale): 2 * pairs[k] for k in sorted(pairs)}
         return self._counts
 
     @property
@@ -122,65 +121,15 @@ class QuadrupleHistogram:
         return len(self.pairs_by_key)
 
 
-# -- slope-pair kernels ---------------------------------------------------
-#
-# Both kernels walk LineMultiset.table, whose intercepts are c = -g(a, b),
-# and key a crossing abscissa by one integer with no gcd: lines of classes
-# i < j cross at x = (c_i - c_j) / (b_j - b_i), keyed by C_i * f - C_j * f
-# with f = M / (S_j - S_i) (see lines.py).  The quotient
-# (u - v) / (b_j - b_i) of u = g(a1, b_i) and v = g(a2, b_j) is
-# (c_j - c_i) / (b_j - b_i) = -x, so X is read off the negated keys.
-
-
-def _slope_pair_tasks(sb, sc_lists, xscale, workers: int) -> list[tuple]:
-    """Tasks for a slope-pair kernel: ((SB, intercept lists, M), pairs) per
-    chunk of the slope-class pairs (i, j), i < j, cut for ``workers``."""
-    n = len(sb)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    table = (sb, sc_lists, xscale)
-    return [(table, pairs[start:stop]) for start, stop in chunk_ranges(len(pairs), workers)]
-
-
-def _abscissa_keys(table, i: int, j: int) -> list[int]:
-    """The abscissa key of every intercept pair of slope classes i < j."""
-    sb, sc_lists, xscale = table
-    f = xscale // (sb[j] - sb[i])
-    right = [c * f for c in sc_lists[j]]
-    return [u - v for u in [c * f for c in sc_lists[i]] for v in right]
-
-
-def _quotient_chunk(args):
-    """Distinct abscissa keys for a chunk of slope pairs; the reversed slope
-    order gives the same values, so each unordered pair runs once."""
-    table, pairs = args
-    out: set[int] = set()
-    for i, j in pairs:
-        out.update(_abscissa_keys(table, i, j))
-    return out
-
-
-def _histogram_chunk(args):
-    """Abscissa key -> unordered value pairs for a chunk of slope pairs;
-    each slope class arrives as its intercepts repeated by multiplicity."""
-    table, pairs = args
-    out: Counter = Counter()
-    for i, j in pairs:
-        out.update(_abscissa_keys(table, i, j))
-    return out
-
-
 def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     """All values (g(a1,b1) - g(a2,b2))/(b2 - b1) over quadruples from A
-    with b1 != b2, deduplicated.  Empty when |A| < 2."""
+    with b1 != b2, deduplicated.  Empty when |A| < 2.  The lines of
+    g(a1, b_i) and g(a2, b_j) cross at x = (c_i - c_j) / (b_j - b_i) with
+    c = -g(a, b), which is minus the quotient: X is the negated keys."""
     if len(ground) < 2:
         return QuotientSet(set(), (1, 1))
     family = build_lines(g, ground, ground)
-    sb, _, sc_lists, _, _, xscale = family.table
-    tasks = _slope_pair_tasks(sb, sc_lists, xscale, workers)
-    merged: set[int] = set()
-    for part in run_chunks(_quotient_chunk, tasks, workers):
-        merged |= part
-    return QuotientSet(merged, family.key_scale)
+    return QuotientSet(pair_keys(family, family.table[2], set, workers), family.key_scale)
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
@@ -188,15 +137,13 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
-    sb, _, sc_lists, mult_lists, _, xscale = family.table
+    sc_lists, mult_lists = family.table[2:4]
+    # each line repeated by its multiplicity, so that the walk counts value pairs
     expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
                 for cs, ms in zip(sc_lists, mult_lists)]
-    tasks = _slope_pair_tasks(sb, expanded, xscale, workers)
-    merged: Counter = Counter()
-    for part in run_chunks(_histogram_chunk, tasks, workers):
-        merged.update(part)  # a plain dict update while merged is empty
+    merged = pair_keys(family, expanded, Counter, workers)
     # each unordered slope pair stands for both ordered ones: Q = 2 * pairs
-    return QuadrupleHistogram(dict(sorted(merged.items())), family.key_scale)
+    return QuadrupleHistogram(dict(merged), family.key_scale)
 
 
 # -- the verification chain ------------------------------------------------
@@ -297,14 +244,14 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     if swept.keys() != pairs.keys():
         raise InternalCheckError("crossing abscissas differ from histogram support")
     if swept != pairs:
-        key = next(k for k, q in pairs.items() if swept[k] != q)
+        key = min(k for k, q in pairs.items() if swept[k] != q)
         raise InternalCheckError(
             f"per-abscissa quadruple identity failed at {key_value(key, family.key_scale)}")
     # summed over x in support(Q), sum_y n(x, y)^2 = Q(x) + t2
     energy_support = quadruple_total + size_x * t2
     max_point_weight = max(sweep.weights, default=0)
 
-    keys = list(pairs)
+    keys = sorted(pairs)
     sampled = {keys[0], keys[len(keys) // 2], keys[-1]}
     for key in sampled:
         x = key_value(key, family.key_scale)

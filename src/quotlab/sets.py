@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -144,12 +144,10 @@ class SetSpec:
         """Same family, different cardinality (for exponent scans)."""
         if self.kind == "explicit":
             raise InputError("explicit sets cannot be resized for a scan")
-        return SetSpec(kind=self.kind, size=size, start=self.start, step=self.step,
-                       ratio=self.ratio, range=self.range, seed=self.seed)
+        return replace(self, size=size)
 
     def with_seed(self, seed: int) -> "SetSpec":
-        return SetSpec(kind=self.kind, size=self.size, start=self.start, step=self.step,
-                       ratio=self.ratio, range=self.range, seed=seed)
+        return replace(self, seed=seed)
 
 
 def generate_set(spec: SetSpec) -> GroundSet:

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import quotlab
 from quotlab import bisectors, lines, quotients
 from quotlab.cli import main
-from quotlab.polynomials import Poly
+from quotlab.polynomials import Poly, bivariate_from_terms
 from quotlab.sets import GroundSet
 
 from oracles import brute_bisector_intercepts
@@ -85,17 +86,14 @@ def test_chain_report_and_histogram_csv(tmp_path):
 
 def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
     calls = {"histogram": 0, "quotient": 0}
+    kernel = lines._pair_keys_chunk
 
-    def counted(name, kernel):
-        def call(args):
-            calls[name] += 1
-            return kernel(args)
-        return call
+    def counted(args):
+        # the pair walk collects into a Counter for Q and a set for X
+        calls["histogram" if args[-1] is Counter else "quotient"] += 1
+        return kernel(args)
 
-    monkeypatch.setattr(quotients, "_histogram_chunk",
-                        counted("histogram", quotients._histogram_chunk))
-    monkeypatch.setattr(quotients, "_quotient_chunk",
-                        counted("quotient", quotients._quotient_chunk))
+    monkeypatch.setattr(lines, "_pair_keys_chunk", counted)
     hist_path = tmp_path / "hist.csv"
     code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
                            "--workers", "1", "--histogram-out", str(hist_path))
@@ -151,15 +149,15 @@ def test_energy_check_catches_a_mass_preserving_section_defect(tmp_path, monkeyp
 
 
 def test_failed_internal_check_exits_four(tmp_path, monkeypatch, capsys):
-    kernel = quotients._histogram_chunk
+    kernel = lines._pair_keys_chunk
 
     def drops_one_count(args):
         out = kernel(args)
-        key = next(iter(out))
-        out[key] -= 1
+        if args[-1] is Counter:
+            out[next(iter(out))] -= 1
         return out
 
-    monkeypatch.setattr(quotients, "_histogram_chunk", drops_one_count)
+    monkeypatch.setattr(lines, "_pair_keys_chunk", drops_one_count)
     code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
                            "--workers", "1")
     assert code == 4
@@ -365,24 +363,25 @@ def test_bisector_report(tmp_path):
 
 
 def test_bisector_enumerates_the_intercepts_once(tmp_path, monkeypatch):
-    calls = {"enumerations": 0, "quotient": 0}
-    run_chunks, kernel = quotients.run_chunks, quotients._quotient_chunk
+    calls = {"enumerations": 0, "quotient": 0, "histogram": 0}
+    run_chunks, kernel = lines.run_chunks, lines._pair_keys_chunk
 
     def counted_run(*args, **kwargs):
         calls["enumerations"] += 1
         return run_chunks(*args, **kwargs)
 
     def counted_kernel(args):
-        calls["quotient"] += 1
+        calls["histogram" if args[-1] is Counter else "quotient"] += 1
         return kernel(args)
 
-    monkeypatch.setattr(quotients, "run_chunks", counted_run)
-    # a second enumeration in bisectors would go through its own run_chunks
-    monkeypatch.setattr(bisectors, "run_chunks", counted_run, raising=False)
-    monkeypatch.setattr(quotients, "_quotient_chunk", counted_kernel)
+    monkeypatch.setattr(lines, "run_chunks", counted_run)
+    # a second enumeration elsewhere would go through that module's run_chunks
+    for module in (quotients, bisectors):
+        monkeypatch.setattr(module, "run_chunks", counted_run, raising=False)
+    monkeypatch.setattr(lines, "_pair_keys_chunk", counted_kernel)
     code, report = run_cli(tmp_path, "bisector", "--set", AP3, "--workers", "1")
     assert code == 0
-    assert calls == {"enumerations": 1, "quotient": 1}
+    assert calls == {"enumerations": 1, "quotient": 1, "histogram": 0}
     assert report["results"]["intercepts"] == len(
         brute_bisector_intercepts(GroundSet.of(1, 2, 3)))
 
@@ -424,20 +423,22 @@ def test_missing_required_field_is_input_error(tmp_path):
 
 
 def count_kernel_calls(monkeypatch):
-    """Counts the calls of each kernel a chain or rich-points run can make
-    (inline runs, so the counts are seen here)."""
-    calls = {"histogram": 0, "sweep": 0}
+    """Counts the calls of each kernel (inline runs, so the counts are seen
+    here); the pair walk counts as the histogram when it collects into a
+    Counter and as the quotient set when it collects into a set."""
+    calls = {"histogram": 0, "quotient": 0, "sweep": 0}
+    walk, sweep = lines._pair_keys_chunk, lines._sweep_chunk
 
-    def counted(name, module, attr):
-        kernel = getattr(module, attr)
+    def counted_walk(args):
+        calls["histogram" if args[-1] is Counter else "quotient"] += 1
+        return walk(args)
 
-        def call(args):
-            calls[name] += 1
-            return kernel(args)
-        monkeypatch.setattr(module, attr, call)
+    def counted_sweep(args):
+        calls["sweep"] += 1
+        return sweep(args)
 
-    counted("histogram", quotients, "_histogram_chunk")
-    counted("sweep", lines, "_sweep_chunk")
+    monkeypatch.setattr(lines, "_pair_keys_chunk", counted_walk)
+    monkeypatch.setattr(lines, "_sweep_chunk", counted_sweep)
     return calls
 
 
@@ -449,7 +450,7 @@ def test_memory_cap_exit_code(tmp_path, monkeypatch, capsys):
                            "--thresholds", "2")
     assert code == 3
     assert report is None
-    assert calls == {"histogram": 0, "sweep": 0}
+    assert calls == {"histogram": 0, "quotient": 0, "sweep": 0}
     err = capsys.readouterr().err
     assert "resource cap: crossing aggregation refused: estimated" in err
     assert "(36 lines + 0 abscissas) x 500 B x 1)" in err
@@ -463,7 +464,7 @@ def test_chain_too_large_for_memory_is_refused_before_the_sweep(tmp_path, monkey
     assert code == 3
     assert report is None
     # the histogram runs first, since the estimate counts its |X| abscissas
-    assert calls == {"histogram": 1, "sweep": 0}
+    assert calls == {"histogram": 1, "quotient": 0, "sweep": 0}
     err = capsys.readouterr().err
     # g = xy on {1, 2, 3}: 9 lines, |X| = 13
     assert "estimated 0.00 GiB ((9 lines + 13 abscissas) x 500 B x 1)" in err
@@ -485,6 +486,67 @@ def test_sweep_that_drops_a_line_pair_exits_four(tmp_path, monkeypatch, capsys):
     assert report is None
     assert ("internal check failed: the sweep visited 26 line pairs, not the 27 pairs "
             "of distinct slopes") in capsys.readouterr().err
+
+
+def test_sweep_that_reaches_an_extra_abscissa_exits_four(tmp_path, monkeypatch, capsys):
+    kernel = lines._sweep_chunk
+
+    def adds_one_key(args):
+        pairs, weights, cross, points = kernel(args)
+        cross[max(cross) + 1] += 1  # one shard inline: no other key is new
+        return pairs, weights, cross, points
+
+    monkeypatch.setattr(lines, "_sweep_chunk", adds_one_key)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert ("internal check failed: crossing abscissas differ from histogram support"
+            in capsys.readouterr().err)
+
+
+def test_histogram_count_moved_between_abscissas_exits_four(tmp_path, monkeypatch,
+                                                            capsys):
+    kernel = lines._pair_keys_chunk
+    moved = []
+
+    def moves_one_count(args):
+        out = kernel(args)
+        if args[-1] is Counter:
+            # from the first key walked to the smallest: the total is kept
+            first, smallest = next(iter(out)), min(out)
+            assert first != smallest
+            out[first] -= 1
+            out[smallest] += 1
+            moved.append(smallest)
+        return out
+
+    monkeypatch.setattr(lines, "_pair_keys_chunk", moves_one_count)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    ground = GroundSet.of(1, 2, 3)
+    scale = lines.build_lines(bivariate_from_terms(json.loads(G_XY)), ground, ground).key_scale
+    x = quotients.key_value(moved[0], scale)
+    assert (f"internal check failed: per-abscissa quadruple identity failed at {x}\n"
+            in capsys.readouterr().err)
+
+
+def test_vertical_section_that_loses_mass_exits_four(tmp_path, monkeypatch, capsys):
+    section = quotients.vertical_section
+    calls = []
+
+    def drops_one_unit(family, x):
+        out = section(family, x)
+        calls.append(x)
+        out[next(iter(out))] -= 1
+        return out
+
+    monkeypatch.setattr(quotients, "vertical_section", drops_one_unit)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert f"internal check failed: vertical mass at {calls[0]} is not |A|^2" in \
+        capsys.readouterr().err
 
 
 def test_memory_cap_option_and_config_field_are_gone(tmp_path, capsys):

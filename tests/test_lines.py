@@ -12,6 +12,7 @@ from quotlab.lines import (Line, LineMultiset, build_lines, check_crossing_memor
                            crossing_pair_count, crossing_weights, incidences,
                            intersection_points, rich_point_reports, vertical_section)
 from quotlab.polynomials import Poly
+from quotlab.quotients import quadruple_histogram, quotient_set
 from quotlab.sets import GroundSet
 
 from oracles import (brute_energy, brute_incidences, brute_intersection_points,
@@ -194,14 +195,34 @@ def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():
             assert crossing_weights(family, workers=workers).pairs == pairs
 
 
-def test_sweep_shards_are_contiguous_shares_of_the_line_pairs():
+def test_class_shards_are_contiguous_shares_of_the_line_pairs():
     ground = GroundSet.of(*range(6))
-    family = build_lines(G_X, ground, ground)  # classes sweep 180, 144, ..., 36, 0 pairs
-    assert lines._sweep_shards(family, 1) == [(0, 5)]
-    assert lines._sweep_shards(family, 2) == [(0, 2), (2, 5)]
-    assert lines._sweep_shards(family, 3) == [(0, 1), (1, 3), (3, 5)]
+    family = build_lines(G_X, ground, ground)  # classes pair 180, 144, ..., 36, 0 lines
+    assert lines._class_shards(family, 1) == [(0, 5)]
+    assert lines._class_shards(family, 2) == [(0, 2), (2, 5)]
+    assert lines._class_shards(family, 3) == [(0, 1), (1, 3), (3, 5)]
     single = LineMultiset([Line(frac(2), frac(c), 1) for c in range(3)])
-    assert lines._sweep_shards(single, 2) == [(0, 0)]
+    assert lines._class_shards(single, 2) == [(0, 0)]
+
+
+def test_every_kernel_takes_its_tasks_from_the_class_shards(monkeypatch):
+    seen = []
+
+    def recorded(fn, tasks, workers):
+        seen.append([(task[1], task[2]) for task in tasks])
+        return [fn(task) for task in tasks]  # inline: the ranges are what counts
+
+    monkeypatch.setattr(lines, "run_chunks", recorded)
+    for g, ground in ((G_X, GroundSet.of(*range(6))),
+                      (G_XY, GroundSet.of(*range(1, 7))),
+                      (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4)))):  # repeated lines
+        family = build_lines(g, ground, ground)
+        for workers in (1, 2, 3):
+            seen.clear()
+            quotient_set(g, ground, workers=workers)
+            quadruple_histogram(family, workers=workers)
+            crossing_weights(family, workers=workers)
+            assert seen == [lines._class_shards(family, workers)] * 3
 
 
 def test_memory_check_admits_desk_runs_and_refuses_quartic_ones(monkeypatch):
