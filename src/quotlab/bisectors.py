@@ -15,7 +15,6 @@ pair and against the midpoint-plus-perpendicular construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -31,15 +30,20 @@ def intercept_quotient_poly() -> Poly:
     return Poly(2, {(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
 
 
-@dataclass(frozen=True)
 class InterceptSet:
     """Distinct bisector intercepts of the grid A x A with pair counts;
-    ``values`` is the quotient set they are read from."""
+    ``values`` is the quotient set they are read from.  Immutable."""
 
-    values: QuotientSet
-    grid_size: int
-    pairs_considered: int
-    pairs_skipped: int
+    __slots__ = ("values", "grid_size", "pairs_considered", "pairs_skipped")
+
+    def __init__(self, values: QuotientSet, grid_size: int, pairs_considered: int,
+                 pairs_skipped: int):
+        for name, value in zip(self.__slots__,
+                               (values, grid_size, pairs_considered, pairs_skipped)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"InterceptSet is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
         return len(self.values)

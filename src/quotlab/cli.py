@@ -222,7 +222,7 @@ def _run(argv) -> int:
         xset = quotients.quotient_set(g, ground, workers=workers)
         results = {"size_a": len(ground), "size_x": len(xset)}
         if len(xset) <= 200:
-            results["values"] = [format_rational(v) for v in xset]
+            results["values"] = [text for text, in reports.values_csv_rows(xset)]
         if getattr(args, "values_out", None):
             reports.write_csv(args.values_out, ["value"],
                               reports.values_csv_rows(xset))
@@ -253,7 +253,7 @@ def _run(argv) -> int:
         }
         if points_out:
             reports.write_csv(points_out, ["x", "y", "n"],
-                              reports.points_csv_rows(lines.intersection_points(weights)))
+                              reports.points_csv_rows(weights))
     elif experiment == "incidences":
         raw_points = config.get("points")
         if raw_points is None:

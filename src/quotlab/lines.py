@@ -5,13 +5,23 @@ is a multiset: pairs sharing slope and intercept merge into one stored
 line carrying their count, its multiplicity m.  The point weight n(x, y)
 counts the lines through (x, y) *with* multiplicity.
 
-Lines are grouped by slope into one integer table per family
-(LineMultiset.table): slopes S = s*lb, intercepts C = c*lc, and the
-abscissa scale M, the lcm of all slope differences.  Lines of classes
-i < j cross at the x whose key x*lc*M/lb = (C_i - C_j) * (M / (S_j - S_i))
-is an integer; keys identify x exactly and ascend with x.  The slope-pair
-walk (pair_keys, read by quotients.py) and the sweep below are separate
-enumerations keyed by it with no gcd; only keys read out become Fractions.
+A family is one integer table (LineMultiset.table), grouped by slope:
+slopes S = s*lb, intercepts C = c*lc, and the abscissa scale M, the lcm
+of all slope differences.  build_lines fills it from integer evaluations
+of g: the denominators of A, B and g's coefficients are cleared once, g is
+evaluated |A||B| times on the integer grid, equal (slope, intercept)
+integers merge, and one gcd brings lc down to the lcm of the intercepts'
+denominators.  A run-time anchor ties that evaluation to g: at the first,
+middle and last elements of A and of B, Poly.evaluate must give a line of
+the table.  The Fraction lines (LineMultiset.lines) are a view of the
+table, built on first use.
+
+Lines of classes i < j cross at the x whose key x*lc*M/lb =
+(C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify x exactly
+and ascend with x.  The slope-pair walk (pair_keys, read by quotients.py)
+and the sweep below are separate enumerations keyed by it with no gcd;
+keys are read out as Fractions or, for the CSVs, as text
+(rationals.format_key).
 
 Crossing points are never aggregated.  The sweep (crossing_weights) groups,
 on each line l, its crossings with the lines of higher slope by key; on
@@ -36,10 +46,9 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .parallel import run_chunks, uses_pool
@@ -54,8 +63,7 @@ SWEEP_ENTRY_BYTES = 500
 POINT_BYTES = 600
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """One distinct line with the number of pairs (a, b) that give it."""
 
     slope: Fraction
@@ -63,10 +71,31 @@ class Line:
     multiplicity: int
 
 
-class LineMultiset:
-    """Distinct lines with multiplicities; total weight = sum of them."""
+def _class_table(columns: dict[int, dict[int, int]], lb: int, lc: int) -> tuple:
+    """The family table from ``columns``, scaled slope s*lb -> {scaled
+    intercept c*lc: multiplicity}: (SB, LB, intercept lists, multiplicity
+    lists, LC, M), one list per slope in ascending order, each ascending.
+    The common factor of lc and every scaled intercept is divided out, so
+    that LC is the lcm of the intercepts' denominators."""
+    h = gcd(lc, *(c for column in columns.values() for c in column))
+    sb = sorted(columns)
+    sc_lists, mult_lists = [], []
+    for s in sb:
+        column = columns[s]
+        cs = sorted(column)
+        sc_lists.append([c // h for c in cs])
+        mult_lists.append([column[c] for c in cs])
+    xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
+    return sb, lb, sc_lists, mult_lists, lc // h, xscale
 
-    __slots__ = ("lines", "total_weight", "_table")
+
+class LineMultiset:
+    """Distinct lines with multiplicities; total weight = sum of them.
+
+    ``table`` is the family (see the module docstring); ``LineMultiset(lines)``
+    builds it from hand-made Fraction lines, build_lines from g."""
+
+    __slots__ = ("table", "_lines")
 
     def __init__(self, lines: Sequence[Line]):
         seen = set()
@@ -77,44 +106,53 @@ class LineMultiset:
             if line.multiplicity < 1:
                 raise InputError("line multiplicity must be >= 1")
             seen.add(key)
-        self.lines = tuple(sorted(lines, key=lambda l: (l.slope, l.intercept)))
-        self.total_weight = sum(l.multiplicity for l in self.lines)
-        self._table = None
+        slopes = sorted({line.slope for line in lines})
+        sb, lb = scaled_ints(slopes)
+        scaled_slope = dict(zip(slopes, sb))
+        cs, lc = scaled_ints([line.intercept for line in lines])
+        columns: dict[int, dict[int, int]] = {}
+        for line, c in zip(lines, cs):
+            columns.setdefault(scaled_slope[line.slope], {})[c] = line.multiplicity
+        self.table, self._lines = _class_table(columns, lb, lc), None
+
+    @classmethod
+    def from_columns(cls, columns: dict[int, dict[int, int]], lb: int,
+                     lc: int) -> "LineMultiset":
+        """The family of ``columns`` as _class_table reads them."""
+        family = cls.__new__(cls)
+        family.table, family._lines = _class_table(columns, lb, lc), None
+        return family
+
+    @property
+    def lines(self) -> tuple[Line, ...]:
+        """The lines as Fractions, sorted by (slope, intercept)."""
+        if self._lines is None:
+            sb, lb, sc_lists, mult_lists, lc, _xscale = self.table
+            lines: list[Line] = []
+            for s, cs, ms in zip(sb, sc_lists, mult_lists):
+                slope = Fraction(s, lb)
+                lines += [Line(slope, Fraction(c, lc), m) for c, m in zip(cs, ms)]
+            self._lines = tuple(lines)
+        return self._lines
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return sum(map(len, self.table[2]))
+
+    @property
+    def total_weight(self) -> int:
+        return sum(map(sum, self.table[3]))
 
     def __iter__(self):
         return iter(self.lines)
 
     @property
     def max_multiplicity(self) -> int:
-        return max((l.multiplicity for l in self.lines), default=0)
+        return max((max(ms) for ms in self.table[3]), default=0)
 
     def squared_multiplicity_total(self) -> int:
         """Sum of m^2 over distinct lines: the weight of same-line
         instance pairs, and the per-abscissa floor of sum_y n(x,y)^2."""
-        return sum(l.multiplicity ** 2 for l in self.lines)
-
-    @property
-    def table(self):
-        """The slope classes in integer form, built on first use and read by
-        the set, histogram and sweep kernels: (SB, LB, intercept lists,
-        multiplicity lists, LC, M), one list per slope in ascending order,
-        with M the abscissa scale.  For the family of g over A x A the
-        intercepts -g(a, b) are the value table."""
-        if self._table is None:
-            classes: dict[Fraction, list[Line]] = {}
-            for line in self.lines:  # sorted by (slope, intercept)
-                classes.setdefault(line.slope, []).append(line)
-            sb, lb = scaled_ints(list(classes))
-            flat, lc = scaled_ints([line.intercept for line in self.lines])
-            column = iter(flat)
-            sc_lists = [[next(column) for _ in items] for items in classes.values()]
-            mult_lists = [[line.multiplicity for line in items] for items in classes.values()]
-            xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
-            self._table = (sb, lb, sc_lists, mult_lists, lc, xscale)
-        return self._table
+        return sum(m * m for ms in self.table[3] for m in ms)
 
     @property
     def key_scale(self) -> tuple[int, int]:
@@ -124,29 +162,74 @@ class LineMultiset:
         return lb, lc * xscale
 
 
+def _scaled_values(g: Poly, ground_a: GroundSet, ground_b: GroundSet):
+    """g on A x B in integers: (rows, qb, L), with rows mapping b*qb to
+    the list of L * g(a, b) over A, qb the lcm of B's denominators and
+    L = D * qa^dx * qb^dy, where D is the lcm of g's coefficient
+    denominators, qa that of A's, and dx, dy g's degrees in x and y."""
+    qa = lcm(*(a.denominator for a in ground_a))
+    qb = lcm(*(b.denominator for b in ground_b))
+    dx = max((i for i, _ in g.terms), default=0)
+    dy = max((j for _, j in g.terms), default=0)
+    d = lcm(*(c.denominator for c in g.terms.values()))
+    # L * c * a^i * b^j = k * (a*qa)^i * (b*qb)^j with the integer k below
+    terms = [(i, j, c.numerator * (d // c.denominator) * qa ** (dx - i) * qb ** (dy - j))
+             for (i, j), c in g.terms.items()]
+    xs = [a.numerator * (qa // a.denominator) for a in ground_a]
+    powers = {i: [x ** i for x in xs] for i, _, _ in terms}
+    rows: dict[int, list[int]] = {}
+    for b in ground_b:
+        y = b.numerator * (qb // b.denominator)
+        coeffs: dict[int, int] = {}
+        for i, j, k in terms:
+            coeffs[i] = coeffs.get(i, 0) + k * y ** j
+        row = [0] * len(xs)
+        for i, k in coeffs.items():
+            row = [v + k * p for v, p in zip(row, powers[i])]
+        rows[y] = row
+    return rows, qb, d * qa ** dx * qb ** dy
+
+
+def _ends_and_middle(ground: GroundSet) -> list[Fraction]:
+    """The first, middle and last elements of ``ground``, ascending."""
+    return [ground[i] for i in sorted({0, len(ground) // 2, len(ground) - 1})]
+
+
 def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultiset:
     """The dual family {y = b*x - g(a, b) : (a, b) in A x B}."""
     if len(ground_a) == 0 or len(ground_b) == 0:
         raise InputError("ground sets must be nonempty")
-    merged: dict[tuple[Fraction, Fraction], int] = {}
-    for b in ground_b:
-        for a in ground_a:
-            key = (b, -g.evaluate((a, b)))
-            merged[key] = merged.get(key, 0) + 1
-    out = LineMultiset([Line(slope, intercept, mult)
-                        for (slope, intercept), mult in merged.items()])
+    rows, qb, scale = _scaled_values(g, ground_a, ground_b)
+    columns = {y: Counter(-v for v in row) for y, row in rows.items()}
+    out = LineMultiset.from_columns(columns, qb, scale)
     if out.total_weight != len(ground_a) * len(ground_b):
         raise InternalCheckError("line multiset lost weight during merging")
+    # the anchor: g's own evaluation gives a line of the table at sampled pairs
+    sb, lb, sc_lists, _mults, lc, _xscale = out.table
+    classes = dict(zip(sb, sc_lists))
+    for a in _ends_and_middle(ground_a):
+        for b in _ends_and_middle(ground_b):
+            value = g.evaluate((a, b))
+            if -value * lc not in classes.get(b * lb, ()):
+                raise InternalCheckError(
+                    f"the line table disagrees with g({a}, {b}) = {value}")
     return out
 
 
 def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
-    """Map y -> n(x, y) on the vertical line at x; values sum to |A||B|."""
-    section: dict[Fraction, int] = {}
-    for line in family.lines:
-        y = line.slope * x + line.intercept
-        section[y] = section.get(y, 0) + line.multiplicity
-    return section
+    """Map y -> n(x, y) on the vertical line at x; values sum to |A||B|.
+    Each line's y * lb * lc * den(x) is an integer; only the distinct y
+    become Fractions."""
+    sb, lb, sc_lists, mult_lists, lc, _xscale = family.table
+    p, q = x.numerator, x.denominator
+    counts: dict[int, int] = {}
+    for s, cs, ms in zip(sb, sc_lists, mult_lists):
+        base, f = s * p * lc, lb * q
+        for c, m in zip(cs, ms):
+            y = base + c * f
+            counts[y] = counts.get(y, 0) + m
+    den = lb * lc * q
+    return {Fraction(y, den): n for y, n in counts.items()}
 
 
 # -- the slope-pair walk ----------------------------------------------------
@@ -343,21 +426,18 @@ def crossing_weights(family: LineMultiset, workers: int = 1, *,
 # -- public reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointMultiplicity:
+class PointMultiplicity(NamedTuple):
     point: tuple[Fraction, Fraction]
     count: int
 
 
-@dataclass(frozen=True)
-class RichPointReport:
+class RichPointReport(NamedTuple):
     threshold: int
     count: int
     bound_ratio: Fraction  # count * t^3 / (total weight)^2
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     count: int
     st_reference: float
     n_points: int

@@ -16,9 +16,8 @@ in the test oracles as the reference it is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .rationals import as_rational, format_rational
@@ -156,8 +155,7 @@ def slice_difference(g: Poly) -> Poly:
     return Poly(3, {k: v for k, v in out.items() if v != 0})
 
 
-@dataclass(frozen=True)
-class DegeneracyVerdict:
+class DegeneracyVerdict(NamedTuple):
     degenerate: bool
     witness: str
 

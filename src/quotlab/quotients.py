@@ -9,12 +9,13 @@ The central objects for a bivariate g and a finite set A:
                     (denominator convention b1 - b2, so support(Q) = -X)
 
 Both are read off one walk over the slope-class pairs of the line family
-(lines.pair_keys), so g is evaluated only |A|^2 times.  The walk collects
-the family's integer abscissa keys with no gcd: quotient_set keeps the
-distinct ones, and X is their negation; the histogram counts them.
-QuotientSet and QuadrupleHistogram hold the keys and the family's
-key_scale; a value becomes a Fraction only when it is read (key_value),
-so a run that reports |X| alone builds none.  verify_chain builds the
+(lines.pair_keys), whose table comes from |A|^2 integer evaluations of g.
+The walk collects the family's integer abscissa keys with no gcd:
+quotient_set keeps the distinct ones, and X is their negation; the
+histogram counts them.  QuotientSet and QuadrupleHistogram hold the keys
+and the family's key_scale; a value becomes a Fraction only when it is
+read (key_value), so a run that reports |X| alone builds none, and the
+CSVs are written from the keys (reports.py).  verify_chain builds the
 family once, reads X off as -support(Q), and compares Q key by key with
 the lowest-slope-line sweep of lines.py, a second enumeration that groups
 the same crossings per line.
@@ -25,9 +26,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
 from .lines import (LineMultiset, build_lines, crossing_pair_count, crossing_weights,
@@ -149,8 +149,7 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
 # -- the verification chain ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Every computable link of the growth argument on one instance.
 
     Exact integers throughout; the ratios are floats derived for display.
@@ -177,12 +176,13 @@ class ChainReport:
     energy_bound_ratio: float | None
     energy_bound_ratio_excl_zero: float | None
     inferred_lower_bound: float
-    histogram: QuadrupleHistogram = field(compare=False, repr=False)
-    links: dict = field(default_factory=dict)
+    histogram: QuadrupleHistogram
+    links: dict
 
     def to_dict(self) -> dict:
         from .rationals import format_rational
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
+        out = self._asdict()
+        del out["histogram"]
         out["size_bound_limit"] = format_rational(self.size_bound_limit)
         out["links"] = dict(self.links)
         return out
@@ -202,6 +202,12 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
         sum_y n(x, y)^2 is Q(x) + (sum of line multiplicity^2).
 
     The energy over the support is then quadruple_total + |X| t2.
+
+    The family is built once, from |A|^2 integer evaluations of g, and
+    build_lines anchors them to g's own evaluation at sampled pairs.  Its
+    Fractions are never built: the vertical sections are read off the
+    integer table, and only the three sampled abscissas, the distinct y of
+    their sections and size_bound_limit become Fractions.
 
     X is read off as -support(Q), so size_x = |support(Q)|; the
     ``sign_bridge`` link records that reading.  That the set kernel of
@@ -310,8 +316,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
 # -- growth-exponent scans --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     rows: tuple[tuple[int, int], ...]  # (|A|, |X|)
     slope: float
 

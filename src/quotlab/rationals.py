@@ -7,16 +7,18 @@ rationals serve directly as sort keys and dict/set keys.
 
 The module adds the strict text form used by config and report files
 ("p/q", or "p" when the denominator is 1) and ``scaled_ints``.  The hot
-enumeration loops use no Fractions: they run on the integers of
-``scaled_ints`` (much less overhead than Fraction objects), and a result
-becomes Fractions only when its values are read.
+enumeration loops use no Fractions: they run on integers over one common
+denominator (much less overhead than Fraction objects), and a result
+becomes Fractions only when its values are read.  ``format_key`` writes
+such an integer key in the text form directly, with one gcd and no
+Fraction, which is how every CSV is written.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError
@@ -41,6 +43,16 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_key(key: int, scale: tuple[int, int]) -> str:
+    """The text form of key * num / den, ``scale`` = (num, den) with den > 0,
+    as format_rational writes it."""
+    num, den = scale
+    p = key * num
+    common = gcd(p, den)
+    p, q = p // common, den // common
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def as_rational(value) -> Fraction:

@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
-from .rationals import format_rational
+from .rationals import format_key
 
 TOOL_NAME = "quotlab"
 TOOL_VERSION = "0.1.0"
@@ -52,20 +52,26 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Non
             writer.writerow(row)
 
 
-def points_csv_rows(points) -> Iterable[tuple]:
-    """Rows (x, y, n) for the sorted crossing-point stream."""
-    for pm in points:
-        yield (format_rational(pm.point[0]), format_rational(pm.point[1]), pm.count)
+def points_csv_rows(weights) -> Iterable[tuple]:
+    """Rows (x, y, n) of the points a sweep kept (crossing_weights with
+    points=True), sorted by (x, y)."""
+    num, den = weights.key_scale
+    # both keys share the positive denominator, so their order is that of (x, y)
+    for (xk, yk), n in sorted(weights.points.items()):
+        yield (format_key(xk, (num, den)), format_key(yk, (1, den)), n)
 
 
 def histogram_csv_rows(hist) -> Iterable[tuple]:
-    for x, q in hist.counts.items():
-        yield (format_rational(x), q)
+    """Rows (x, Q(x)) of a QuadrupleHistogram, ascending in x."""
+    pairs = hist.pairs_by_key
+    for key in sorted(pairs):
+        yield (format_key(key, hist.scale), 2 * pairs[key])
 
 
 def values_csv_rows(values) -> Iterable[tuple]:
-    for v in values:
-        yield (format_rational(v),)
+    """Rows (value,) of a QuotientSet, ascending: its keys negated."""
+    for key in sorted(values.keys, reverse=True):
+        yield (format_key(-key, values.scale),)
 
 
 def scan_csv_rows(scan) -> Iterable[tuple]:

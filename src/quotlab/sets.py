@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 from .rationals import as_rational, format_rational
@@ -66,8 +65,7 @@ class GroundSet:
         return f"GroundSet({{{inner}}}, size={len(self.values)})"
 
 
-@dataclass(frozen=True)
-class SetSpec:
+class SetSpec(NamedTuple):
     """Recipe for a ground set; reproducible from its fields alone."""
 
     kind: str
@@ -144,10 +142,10 @@ class SetSpec:
         """Same family, different cardinality (for exponent scans)."""
         if self.kind == "explicit":
             raise InputError("explicit sets cannot be resized for a scan")
-        return replace(self, size=size)
+        return self._replace(size=size)
 
     def with_seed(self, seed: int) -> "SetSpec":
-        return replace(self, seed=seed)
+        return self._replace(seed=seed)
 
 
 def generate_set(spec: SetSpec) -> GroundSet:

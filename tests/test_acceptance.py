@@ -11,7 +11,6 @@ its companion for the exact numbers.
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -252,9 +251,9 @@ def test_criterion_7_check_catches_seeded_defects():
     assert reports[-2].threshold == max_weight and reports[-2].count > 0
     # no point reaches the maximum weight: still non-increasing, caught by
     # the count >= 1 check alone
-    emptied = reports[:-2] + [replace(reports[-2], count=0), reports[-1]]
+    emptied = reports[:-2] + [reports[-2]._replace(count=0), reports[-1]]
     # more 3-rich points than 2-rich ones: positive, caught by monotonicity
-    rising = [reports[0], replace(reports[1], count=reports[0].count + 1), *reports[2:]]
+    rising = [reports[0], reports[1]._replace(count=reports[0].count + 1), *reports[2:]]
     for defect in (emptied, rising):
         with pytest.raises(AssertionError):
             check_rich_point_decay(defect, max_weight)

@@ -104,12 +104,17 @@ def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
 
 
 def test_chain_builds_the_line_family_once(tmp_path, monkeypatch):
-    calls = {"build_lines": 0, "evaluate": 0}
-    build_lines, evaluate = lines.build_lines, Poly.evaluate
+    calls = {"build_lines": 0, "integer_values": 0, "evaluate": 0}
+    build_lines, scaled_values, evaluate = lines.build_lines, lines._scaled_values, Poly.evaluate
 
     def counted_build(*args, **kwargs):
         calls["build_lines"] += 1
         return build_lines(*args, **kwargs)
+
+    def counted_values(*args):
+        rows, qb, scale = scaled_values(*args)
+        calls["integer_values"] += sum(map(len, rows.values()))
+        return rows, qb, scale
 
     def counted_evaluate(self, point):
         calls["evaluate"] += 1
@@ -117,11 +122,14 @@ def test_chain_builds_the_line_family_once(tmp_path, monkeypatch):
 
     for module in (lines, quotients):
         monkeypatch.setattr(module, "build_lines", counted_build)
+    monkeypatch.setattr(lines, "_scaled_values", counted_values)
     monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
-    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
-                           "--workers", "1")
+    spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 6})
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", spec, "--workers", "1")
     assert code == 0
-    assert calls == {"build_lines": 1, "evaluate": 3 * 3}
+    # |A|^2 integer evaluations build the table; g itself is evaluated only
+    # by the anchor, at the first, middle and last elements of A and of B
+    assert calls == {"build_lines": 1, "integer_values": 6 * 6, "evaluate": 3 * 3}
     assert report["results"]["size_x"] > 0
 
 
@@ -266,8 +274,8 @@ def test_histogram_csv_bytes_are_unchanged(tmp_path):
             assert hashlib.sha256(hist_path.read_bytes()).hexdigest() == digest
 
 
-def count_fractions(monkeypatch) -> list:
-    """The Fractions quotlab.quotients builds from now on, in order."""
+def count_fractions(monkeypatch, module=quotients) -> list:
+    """The Fractions ``module`` builds from now on, in order."""
     built = []
 
     class Counted(Fraction):
@@ -276,7 +284,7 @@ def count_fractions(monkeypatch) -> list:
             built.append(value)
             return value
 
-    monkeypatch.setattr(quotients, "Fraction", Counted)
+    monkeypatch.setattr(module, "Fraction", Counted)
     return built
 
 
@@ -293,15 +301,49 @@ def test_count_only_runs_build_no_quotient_values(tmp_path, monkeypatch):
     assert built == []
 
 
+def test_value_csvs_are_written_from_the_keys(tmp_path, monkeypatch):
+    built = count_fractions(monkeypatch)
+    values_path, intercepts_path = tmp_path / "values.csv", tmp_path / "intercepts.csv"
+    # |X| = 7: the report lists the values too
+    code, report = run_cli(tmp_path, "quotient", "--g", G_X, "--set", AP3,
+                           "--values-out", str(values_path), "--workers", "1")
+    assert code == 0
+    assert report["results"]["values"] == ["-2", "-1", "-1/2", "0", "1/2", "1", "2"]
+    assert [row for row, in list(csv.reader(values_path.open()))[1:]] == \
+        report["results"]["values"]
+    spec = json.dumps({"kind": "explicit", "values": BISECTOR_RAND_SET})
+    code, report = run_cli(tmp_path, "bisector", "--set", spec, "--workers", "1",
+                           "--intercepts-out", str(intercepts_path))
+    assert code == 0
+    assert len(list(csv.reader(intercepts_path.open()))) - 1 == report["results"]["intercepts"]
+    assert built == []
+
+
+def test_points_csv_is_written_from_the_keys(tmp_path, monkeypatch):
+    built = count_fractions(monkeypatch, lines)
+    pts_path = tmp_path / "points.csv"
+    code, report = run_cli(tmp_path, "rich-points", "--g", G_XY, "--set", AP3,
+                           "--thresholds", "2", "--points-out", str(pts_path),
+                           "--workers", "1")
+    assert code == 0
+    (row,) = report["results"]["thresholds"]
+    assert len(list(csv.reader(pts_path.open()))) - 1 == row["count"]
+    # the one bound ratio of the report; none per point
+    assert built == [Fraction(row["bound_ratio"])]
+
+
 def test_chain_reads_out_only_the_sampled_abscissas(tmp_path, monkeypatch):
     built = count_fractions(monkeypatch)
     spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 6})
-    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", spec, "--workers", "1")
+    hist_path = tmp_path / "hist.csv"
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", spec, "--workers", "1",
+                           "--histogram-out", str(hist_path))
     assert code == 0
     results = report["results"]
     assert results["size_x"] > 100
     assert results["links"]["vertical_mass_samples"] == 3
-    # the three sampled abscissas, then size_bound_limit
+    assert len(list(csv.reader(hist_path.open()))) - 1 == results["size_x"]
+    # the three sampled abscissas, then size_bound_limit; none for the CSV
     assert len(built) <= 3 + 1
     assert built[-1] == Fraction(results["size_bound_limit"])
 
@@ -549,6 +591,75 @@ def test_vertical_section_that_loses_mass_exits_four(tmp_path, monkeypatch, caps
         capsys.readouterr().err
 
 
+def test_merge_that_loses_a_line_exits_four(tmp_path, monkeypatch, capsys):
+    scaled_values = lines._scaled_values
+
+    def drops_one_value(*args):
+        rows, qb, scale = scaled_values(*args)
+        next(iter(rows.values())).pop()
+        return rows, qb, scale
+
+    monkeypatch.setattr(lines, "_scaled_values", drops_one_value)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert ("internal check failed: line multiset lost weight during merging\n"
+            in capsys.readouterr().err)
+
+
+def test_integer_evaluation_that_drifts_from_g_exits_four(tmp_path, monkeypatch, capsys):
+    scaled_values = lines._scaled_values
+
+    def shifts_one_row(*args):
+        rows, qb, scale = scaled_values(*args)
+        first = next(iter(rows))  # b = 1: still |A| lines, all off by one
+        rows[first] = [v + 1 for v in rows[first]]
+        return rows, qb, scale
+
+    monkeypatch.setattr(lines, "_scaled_values", shifts_one_row)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert ("internal check failed: the line table disagrees with g(1, 1) = 1\n"
+            in capsys.readouterr().err)
+
+
+def test_sweep_that_counts_a_negative_number_of_points_exits_four(tmp_path, monkeypatch,
+                                                                  capsys):
+    kernel = lines._sweep_chunk
+
+    def overcounts_a_take_back(args):
+        pairs, weights, cross, points = kernel(args)
+        n = max(weights)
+        weights[n] -= weights[n] + 1
+        return pairs, weights, cross, points
+
+    monkeypatch.setattr(lines, "_sweep_chunk", overcounts_a_take_back)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert ("internal check failed: the sweep counted a negative number of points\n"
+            in capsys.readouterr().err)
+
+
+def test_sweep_that_loses_a_materialized_point_exits_four(tmp_path, monkeypatch, capsys):
+    kernel = lines._sweep_chunk
+
+    def drops_one_point(args):
+        pairs, weights, cross, points = kernel(args)
+        del points[next(iter(points))]
+        return pairs, weights, cross, points
+
+    monkeypatch.setattr(lines, "_sweep_chunk", drops_one_point)
+    code, report = run_cli(tmp_path, "rich-points", "--g", G_XY, "--set", AP3,
+                           "--thresholds", "2", "--points-out", str(tmp_path / "points.csv"),
+                           "--workers", "1")
+    assert code == 4
+    assert report is None
+    assert ("internal check failed: materialized points disagree with the swept weights\n"
+            in capsys.readouterr().err)
+
+
 def test_memory_cap_option_and_config_field_are_gone(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "rich-points", "--g", G_X, "--set", AP3,
                       "--thresholds", "2", "--memory-cap", "3")
@@ -614,13 +725,15 @@ def test_module_entry_point_subprocess():
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():
-    # set-up time: only runs with a pool import concurrent.futures
+    # set-up time: only runs with a pool import concurrent.futures, and the
+    # result types are named tuples or slotted classes, not dataclasses
     src = str(Path(quotlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, quotlab.cli; print('concurrent.futures' in sys.modules)"],
+         "import sys, quotlab.cli; "
+         "print([m in sys.modules for m in ('concurrent.futures', 'dataclasses')])"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

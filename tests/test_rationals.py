@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quotlab.errors import InputError
-from quotlab.rationals import (as_rational, format_rational, parse_rational,
+from quotlab.rationals import (as_rational, format_key, format_rational, parse_rational,
                                scaled_ints)
 
 
@@ -67,6 +67,12 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(0)) == "0"
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 12))
+def test_format_key_writes_the_text_of_the_fraction(key, num, den):
+    assert format_key(key, (num, den)) == format_rational(Fraction(key * num, den))
 
 
 def test_parse_format_round_trip():

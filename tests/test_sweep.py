@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from quotlab.lines import (build_lines, crossing_weights, intersection_points,
-                           rich_point_reports)
+from quotlab.lines import (Line, LineMultiset, build_lines, crossing_weights,
+                           intersection_points, rich_point_reports)
 from quotlab.polynomials import Poly
 from quotlab.quotients import verify_chain
 from quotlab.sets import GroundSet
@@ -35,6 +35,21 @@ FAMILIES = {
     "rational-scales": (G_XY, RATIONALS),
     "multiplicity-2": (G_X2_PLUS_Y, GroundSet.of(*range(-6, 7))),
     "multiplicity-|A|": (G_XY, GroundSet.of(*range(8))),
+}
+
+# (g, A, B) beyond the families above, for the table built from g
+TABLE_CASES = {
+    "a-differs-from-b": (G_X2_PLUS_Y, GroundSet.of(-2, 0, 5), GroundSet.of(1, 3, 4, 9)),
+    # lc is 432 times smaller than the cleared denominator L here
+    "rational-coefficients": (Poly(2, {(2, 1): Fraction(3, 2), (0, 3): Fraction(-1, 3),
+                                       (1, 0): Fraction(5, 7), (0, 0): Fraction(-2, 9)}),
+                              RATIONALS, GroundSet.of(Fraction(-1, 4), 0, Fraction(2, 3), 6)),
+    "negative-rationals-in-a": (G_XY, GroundSet(Fraction(p, q) for p, q in
+                                                ((-7, 3), (-1, 6), (0, 1), (4, 9))),
+                                GroundSet.of(-3, -1, 2)),
+    "constant-only": (Poly(2, {(0, 0): Fraction(5, 3)}), GroundSet.of(0, 1, 2),
+                      GroundSet.of(Fraction(1, 2), 4)),
+    "zero-polynomial": (Poly(2, {}), GroundSet.of(0, 1), GroundSet.of(0, 1)),
 }
 
 
@@ -64,6 +79,21 @@ def test_families_have_the_property_they_stand_for():
     for name, multiplicity in (("multiplicity-2", 2), ("multiplicity-|A|", 8)):
         g, ground = FAMILIES[name]
         assert build_lines(g, ground, ground).max_multiplicity == multiplicity
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *TABLE_CASES])
+def test_table_from_g_equals_the_table_of_the_instance_lines(name):
+    if name in FAMILIES:
+        g, ground_a = FAMILIES[name]
+        ground_b = ground_a
+    else:
+        g, ground_a, ground_b = TABLE_CASES[name]
+    merged = Counter(instance_lines(g, ground_a, ground_b))
+    expected = LineMultiset([Line(s, c, m) for (s, c), m in merged.items()])
+    family = build_lines(g, ground_a, ground_b)
+    assert family.table == expected.table
+    assert family.lines == expected.lines
+    assert family.total_weight == len(ground_a) * len(ground_b)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
