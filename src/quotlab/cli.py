@@ -5,6 +5,11 @@ incidences, exponent-scan, bisector.  Experiments can be described by a
 JSON config file (--config) with flags overriding individual fields, so
 a committed config reproduces a run exactly.
 
+``EXPERIMENTS`` gives each experiment its run function, its input fields
+(``_INPUTS``: each is a flag and a config field) and its optional CSV.
+Run functions call kernels through module attributes at call time, so a
+wrapper patched onto a module attribute sees every call.
+
 Exit codes: 0 success, 1 usage/input error, 2 hypothesis violation,
 3 resource limit (refused up front as too large for memory, out of
 memory, or a dead worker), 4 internal check failed (an exact identity
@@ -19,6 +24,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import bisectors, lines, quotients, reports
 from .errors import DegenerateError, InputError, InternalCheckError, ResourceCapError
@@ -26,16 +32,8 @@ from .polynomials import bivariate_from_terms, bivariate_to_terms, degeneracy_te
 from .rationals import as_rational, format_rational
 from .sets import SetSpec, generate_set
 
-EXPERIMENTS = ("degeneracy", "quotient", "chain", "rich-points",
-               "incidences", "exponent-scan", "bisector")
-
-_COMMON_FIELDS = {"experiment", "g", "set", "output", "workers",
-                  "allow_degenerate", "seed"}
-_EXTRA_FIELDS = {
-    "exponent-scan": {"sizes"},
-    "rich-points": {"thresholds"},
-    "incidences": {"points"},
-}
+# config fields of every experiment besides its inputs
+_COMMON_FIELDS = ("experiment", "output", "workers", "allow_degenerate", "seed")
 
 DESK_SCALE_LIMIT = 128
 
@@ -66,114 +64,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise InputError(f"{what} must be a comma-separated integer list")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="quotlab",
-                     description="exact difference-quotient and incidence experiments")
-    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, description=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out", help="write the JSON report here (default: stdout)")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed of a random set spec")
-        p.add_argument("--allow-degenerate", action="store_true", default=None,
-                       help="permit degenerate g in quotient/exponent-scan runs")
-        p.add_argument("--force-large", action="store_true",
-                       help="lift the desk-scale |A| <= 128 guardrail")
-        if name != "bisector":
-            p.add_argument("--g", help='polynomial term list, e.g. \'[{"c":"1","i":1,"j":1}]\''
-                                       " (or @file)")
-        if name != "degeneracy":
-            p.add_argument("--set", dest="set_spec",
-                           help='set spec JSON, e.g. \'{"kind":"arithmetic","start":1,'
-                                '"step":1,"size":8}\' (or @file)')
-        if name == "exponent-scan":
-            p.add_argument("--sizes", help="comma-separated sizes, e.g. 8,16,32,64")
-            p.add_argument("--scan-out", help="CSV of (size, quotients, log size, log quotients)")
-        if name == "rich-points":
-            p.add_argument("--thresholds", help="comma-separated thresholds >= 2")
-            p.add_argument("--points-out", help="CSV of crossing points (x, y, n), sorted")
-        if name == "incidences":
-            p.add_argument("--points", help='JSON point list, e.g. \'[["0","0"],["1","1/2"]]\'')
-        if name == "quotient":
-            p.add_argument("--values-out", help="CSV of the sorted quotient values")
-        if name == "chain":
-            p.add_argument("--histogram-out", help="CSV of the quadruple histogram (x, count)")
-        if name == "bisector":
-            p.add_argument("--intercepts-out", help="CSV of the sorted intercepts")
-    return parser
-
-
-def _merged_config(args) -> dict:
-    """Config file merged with flag overrides into one validated dict."""
-    experiment = args.experiment
-    config: dict = {}
-    if args.config:
-        raw = _load_json_arg("@" + args.config, "config")
-        if not isinstance(raw, dict):
-            raise InputError("config must be a JSON object")
-        allowed = _COMMON_FIELDS | _EXTRA_FIELDS.get(experiment, set())
-        unknown = set(raw) - allowed
-        if unknown:
-            raise InputError(f"unknown config field(s): {sorted(unknown)}")
-        config.update(raw)
-        if "experiment" in config and config["experiment"] != experiment:
-            raise InputError(f"config experiment {config['experiment']!r} "
-                             f"does not match subcommand {experiment!r}")
-    config["experiment"] = experiment
-
-    if getattr(args, "g", None) is not None:
-        config["g"] = _load_json_arg(args.g, "polynomial")
-    if getattr(args, "set_spec", None) is not None:
-        config["set"] = _load_json_arg(args.set_spec, "set spec")
-    if getattr(args, "sizes", None) is not None:
-        config["sizes"] = _parse_int_list(args.sizes, "sizes")
-    if getattr(args, "thresholds", None) is not None:
-        config["thresholds"] = _parse_int_list(args.thresholds, "thresholds")
-    if getattr(args, "points", None) is not None:
-        config["points"] = _load_json_arg(args.points, "points")
-    if args.out is not None:
-        config["output"] = args.out
-    if args.workers is not None:
-        config["workers"] = args.workers
-    if args.allow_degenerate is not None:
-        config["allow_degenerate"] = True
-    if args.seed is not None:
-        config["seed"] = args.seed
-    return config
-
-
-def _resolve(config: dict, args):
-    """Typed pieces from the merged config dict."""
-    experiment = config["experiment"]
-    workers = config.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise InputError("workers must be an integer >= 1")
-    allow_degenerate = bool(config.get("allow_degenerate", False))
-
-    g = None
-    if experiment != "bisector":
-        if "g" not in config:
-            raise InputError(f"experiment {experiment} requires field 'g'")
-        g = bivariate_from_terms(config["g"])
-
-    spec = None
-    if experiment != "degeneracy":
-        if "set" not in config:
-            raise InputError(f"experiment {experiment} requires field 'set'")
-        spec = SetSpec.from_dict(config["set"])
-        if "seed" in config and spec.kind == "uniform-random-integer":
-            spec = spec.with_seed(config["seed"])
-
-    if experiment in ("chain", "exponent-scan") and not args.force_large:
-        largest = max(config.get("sizes", [0])) if experiment == "exponent-scan" \
-            else (spec.size if spec else 0)
-        if largest > DESK_SCALE_LIMIT:
-            raise InputError(
-                f"|A| = {largest} exceeds the desk-scale limit {DESK_SCALE_LIMIT} "
-                f"for {experiment} (quartic work); pass --force-large to proceed")
-    return g, spec, workers, allow_degenerate
+def _int_list(raw, what: str) -> list[int]:
+    if not isinstance(raw, list) or not raw or any(type(v) is not int for v in raw):
+        raise InputError(f"{what} must be a nonempty list of integers")
+    return raw
 
 
 def _parse_points(raw) -> list[tuple[Fraction, Fraction]]:
@@ -187,12 +81,196 @@ def _parse_points(raw) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _config_echo(config: dict, g, spec) -> dict:
+# field: (flag, help, flag text -> config value, config value -> typed value)
+_INPUTS = {
+    "g": ("--g", 'polynomial term list, e.g. \'[{"c":"1","i":1,"j":1}]\' (or @file)',
+          lambda text: _load_json_arg(text, "polynomial"), bivariate_from_terms),
+    "set": ("--set", 'set spec JSON, e.g. \'{"kind":"arithmetic","start":1,'
+                     '"step":1,"size":8}\' (or @file)',
+            lambda text: _load_json_arg(text, "set spec"), SetSpec.from_dict),
+    "sizes": ("--sizes", "comma-separated sizes, e.g. 8,16,32,64",
+              lambda text: _parse_int_list(text, "sizes"), lambda raw: _int_list(raw, "sizes")),
+    "thresholds": ("--thresholds", "comma-separated thresholds >= 2",
+                   lambda text: _parse_int_list(text, "thresholds"),
+                   lambda raw: _int_list(raw, "thresholds")),
+    "points": ("--points", 'JSON point list, e.g. \'[["0","0"],["1","1/2"]]\'',
+               lambda text: _load_json_arg(text, "points"), _parse_points),
+}
+
+
+# Each run function takes the resolved inputs (``_resolve``) and returns
+# (results, CSV rows); the rows are lazy and read only when the CSV is asked for.
+
+def _degeneracy(inp):
+    verdict = degeneracy_test(inp.g)
+    return {"degenerate": verdict.degenerate, "witness": verdict.witness,
+            "total_degree": inp.g.total_degree()}, None
+
+
+def _quotient(inp):
+    quotients.require_nondegenerate(inp.g, inp.allow_degenerate)
+    ground = generate_set(inp.set)
+    xset = quotients.quotient_set(inp.g, ground, workers=inp.workers)
+    results = {"size_a": len(ground), "size_x": len(xset)}
+    if len(xset) <= 200:
+        results["values"] = [text for text, in reports.values_csv_rows(xset)]
+    return results, reports.values_csv_rows(xset)
+
+
+def _chain(inp):
+    report = quotients.verify_chain(inp.g, generate_set(inp.set), workers=inp.workers)
+    return report.to_dict(), reports.histogram_csv_rows(report.histogram)
+
+
+def _rich_points(inp):
+    ground = generate_set(inp.set)
+    family = lines.build_lines(inp.g, ground, ground)
+    weights = lines.crossing_weights(family, workers=inp.workers, points=bool(inp.csv_out))
+    rows = lines.rich_point_reports(family, inp.thresholds, weights)
+    return {
+        "size_a": len(ground),
+        "total_weight": family.total_weight,
+        "max_line_multiplicity": family.max_multiplicity,
+        "thresholds": [{"t": r.threshold, "count": r.count,
+                        "bound_ratio": format_rational(r.bound_ratio),
+                        "bound_ratio_float": float(r.bound_ratio)}
+                       for r in rows],
+    }, reports.points_csv_rows(weights)
+
+
+def _incidences(inp):
+    ground = generate_set(inp.set)
+    inc = lines.incidences(inp.points, lines.build_lines(inp.g, ground, ground))
+    return {"count": inc.count, "st_reference": inc.st_reference,
+            "n_points": inc.n_points, "n_distinct_lines": inc.n_distinct_lines,
+            "total_weight": inc.total_weight}, None
+
+
+def _exponent_scan(inp):
+    scan = quotients.exponent_scan(inp.g, inp.set, inp.sizes, workers=inp.workers,
+                                   allow_degenerate=inp.allow_degenerate)
+    return scan.to_dict(), reports.scan_csv_rows(scan)
+
+
+def _bisector(inp):
+    ground = generate_set(inp.set)
+    intercepts = bisectors.bisector_intercept_set(ground, workers=inp.workers)
+    return {
+        "size_a": len(ground),
+        "grid_points": intercepts.grid_size,
+        "pairs_considered": intercepts.pairs_considered,
+        "pairs_skipped": intercepts.pairs_skipped,
+        "intercepts": len(intercepts),
+        # the intercepts are read as the quotient set of -(x^2 + y^2)/2
+        "quotient_crosscheck_ok": True,
+    }, reports.values_csv_rows(intercepts.values)
+
+
+class Experiment(NamedTuple):
+    run: Callable
+    inputs: tuple[str, ...]
+    csv: tuple[str, str, list[str]] | None = None  # flag, help, header
+    desk_scale: bool = False  # |A| > DESK_SCALE_LIMIT needs --force-large
+
+
+EXPERIMENTS = {
+    "degeneracy": Experiment(_degeneracy, ("g",)),
+    "quotient": Experiment(_quotient, ("g", "set"), (
+        "--values-out", "CSV of the sorted quotient values", ["value"])),
+    "chain": Experiment(_chain, ("g", "set"), (
+        "--histogram-out", "CSV of the quadruple histogram (x, count)", ["x", "count"]),
+        desk_scale=True),
+    "rich-points": Experiment(_rich_points, ("g", "set", "thresholds"), (
+        "--points-out", "CSV of crossing points (x, y, n), sorted", ["x", "y", "n"])),
+    "incidences": Experiment(_incidences, ("g", "set", "points")),
+    "exponent-scan": Experiment(_exponent_scan, ("g", "set", "sizes"), (
+        "--scan-out", "CSV of (size, quotients, log size, log quotients)",
+        ["size", "quotients", "log_size", "log_quotients"]), desk_scale=True),
+    "bisector": Experiment(_bisector, ("set",), (
+        "--intercepts-out", "CSV of the sorted intercepts", ["intercept"])),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="quotlab",
+                     description="exact difference-quotient and incidence experiments")
+    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, description=f"run the {name} experiment")
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--out", dest="output",
+                       help="write the JSON report here (default: stdout)")
+        p.add_argument("--workers", type=int)
+        p.add_argument("--seed", type=int, help="override the seed of a random set spec")
+        p.add_argument("--allow-degenerate", action="store_true", default=None,
+                       help="permit degenerate g in quotient/exponent-scan runs")
+        p.add_argument("--force-large", action="store_true",
+                       help="lift the desk-scale |A| <= 128 guardrail")
+        for field in experiment.inputs:
+            flag, help_text, parse_flag, _ = _INPUTS[field]
+            p.add_argument(flag, dest=field, type=parse_flag, help=help_text)
+        if experiment.csv:
+            flag, help_text, _ = experiment.csv
+            p.add_argument(flag, dest="csv_out", metavar="CSV", help=help_text)
+    return parser
+
+
+def _merged_config(args, experiment: Experiment) -> dict:
+    """Config file merged with flag overrides into one dict."""
+    fields = (*_COMMON_FIELDS, *experiment.inputs)
+    config: dict = {}
+    if args.config:
+        raw = _load_json_arg("@" + args.config, "config")
+        if not isinstance(raw, dict):
+            raise InputError("config must be a JSON object")
+        unknown = set(raw) - set(fields)
+        if unknown:
+            raise InputError(f"unknown config field(s): {sorted(unknown)}")
+        if raw.get("experiment", args.experiment) != args.experiment:
+            raise InputError(f"config experiment {raw['experiment']!r} "
+                             f"does not match subcommand {args.experiment!r}")
+        config.update(raw)
+    for field in fields:
+        if getattr(args, field) is not None:
+            config[field] = getattr(args, field)
+    return config
+
+
+def _resolve(config: dict, experiment: Experiment, args) -> argparse.Namespace:
+    """The run's validated, typed inputs from the merged config."""
+    workers = config.get("workers", 1)
+    if type(workers) is not int or workers < 1:
+        raise InputError("workers must be an integer >= 1")
+    if "seed" in config and type(config["seed"]) is not int:
+        raise InputError("seed must be an integer")
+    allow_degenerate = config.get("allow_degenerate", False)
+    if type(allow_degenerate) is not bool:
+        raise InputError("allow_degenerate must be true or false")
+    inp = argparse.Namespace(**dict.fromkeys(_INPUTS), workers=workers,
+                             allow_degenerate=allow_degenerate,
+                             csv_out=getattr(args, "csv_out", None))
+    for field in experiment.inputs:
+        if field not in config:
+            raise InputError(f"experiment {args.experiment} requires field {field!r}")
+        setattr(inp, field, _INPUTS[field][3](config[field]))
+    if inp.set is not None and "seed" in config and inp.set.kind == "uniform-random-integer":
+        inp.set = inp.set.with_seed(config["seed"])
+
+    if experiment.desk_scale and not args.force_large:
+        largest = max(inp.sizes or [inp.set.size])
+        if largest > DESK_SCALE_LIMIT:
+            raise InputError(
+                f"|A| = {largest} exceeds the desk-scale limit {DESK_SCALE_LIMIT} "
+                f"for {args.experiment} (quartic work); pass --force-large to proceed")
+    return inp
+
+
+def _config_echo(config: dict, inp) -> dict:
     echo = dict(config)
-    if g is not None:
-        echo["g"] = bivariate_to_terms(g)
-    if spec is not None:
-        echo["set"] = spec.to_dict()
+    if inp.g is not None:
+        echo["g"] = bivariate_to_terms(inp.g)
+    if inp.set is not None:
+        echo["set"] = inp.set.to_dict()
     echo.pop("output", None)
     return echo
 
@@ -203,100 +281,15 @@ def _run(argv) -> int:
     if args.experiment is None:
         parser.print_help()
         return 1
-    config = _merged_config(args)
-    g, spec, workers, allow_degenerate = _resolve(config, args)
-    experiment = config["experiment"]
+    experiment = EXPERIMENTS[args.experiment]
+    config = _merged_config(args, experiment)
+    inp = _resolve(config, experiment, args)
     started = time.perf_counter()
-
-    if experiment == "degeneracy":
-        verdict = degeneracy_test(g)
-        results = {"degenerate": verdict.degenerate, "witness": verdict.witness,
-                   "total_degree": g.total_degree()}
-    elif experiment == "quotient":
-        verdict = degeneracy_test(g)
-        if verdict.degenerate and not allow_degenerate:
-            raise DegenerateError(
-                f"theorem hypotheses violated: {verdict.witness} "
-                f"(pass --allow-degenerate to chart it anyway)")
-        ground = generate_set(spec)
-        xset = quotients.quotient_set(g, ground, workers=workers)
-        results = {"size_a": len(ground), "size_x": len(xset)}
-        if len(xset) <= 200:
-            results["values"] = [text for text, in reports.values_csv_rows(xset)]
-        if getattr(args, "values_out", None):
-            reports.write_csv(args.values_out, ["value"],
-                              reports.values_csv_rows(xset))
-    elif experiment == "chain":
-        ground = generate_set(spec)
-        report = quotients.verify_chain(g, ground, workers=workers)
-        results = report.to_dict()
-        if getattr(args, "histogram_out", None):
-            reports.write_csv(args.histogram_out, ["x", "count"],
-                              reports.histogram_csv_rows(report.histogram))
-    elif experiment == "rich-points":
-        thresholds = config.get("thresholds")
-        if not thresholds:
-            raise InputError("rich-points requires field 'thresholds'")
-        ground = generate_set(spec)
-        family = lines.build_lines(g, ground, ground)
-        points_out = getattr(args, "points_out", None)
-        weights = lines.crossing_weights(family, workers=workers, points=bool(points_out))
-        rows = lines.rich_point_reports(family, thresholds, weights)
-        results = {
-            "size_a": len(ground),
-            "total_weight": family.total_weight,
-            "max_line_multiplicity": family.max_multiplicity,
-            "thresholds": [{"t": r.threshold, "count": r.count,
-                            "bound_ratio": format_rational(r.bound_ratio),
-                            "bound_ratio_float": float(r.bound_ratio)}
-                           for r in rows],
-        }
-        if points_out:
-            reports.write_csv(points_out, ["x", "y", "n"],
-                              reports.points_csv_rows(weights))
-    elif experiment == "incidences":
-        raw_points = config.get("points")
-        if raw_points is None:
-            raise InputError("incidences requires field 'points'")
-        pts = _parse_points(raw_points)
-        ground = generate_set(spec)
-        family = lines.build_lines(g, ground, ground)
-        inc = lines.incidences(pts, family)
-        results = {"count": inc.count, "st_reference": inc.st_reference,
-                   "n_points": inc.n_points,
-                   "n_distinct_lines": inc.n_distinct_lines,
-                   "total_weight": inc.total_weight}
-    elif experiment == "exponent-scan":
-        sizes = config.get("sizes")
-        if not sizes:
-            raise InputError("exponent-scan requires field 'sizes'")
-        scan = quotients.exponent_scan(g, spec, sizes, workers=workers,
-                                       allow_degenerate=allow_degenerate)
-        results = scan.to_dict()
-        if getattr(args, "scan_out", None):
-            reports.write_csv(args.scan_out,
-                              ["size", "quotients", "log_size", "log_quotients"],
-                              reports.scan_csv_rows(scan))
-    elif experiment == "bisector":
-        ground = generate_set(spec)
-        intercepts = bisectors.bisector_intercept_set(ground, workers=workers)
-        results = {
-            "size_a": len(ground),
-            "grid_points": intercepts.grid_size,
-            "pairs_considered": intercepts.pairs_considered,
-            "pairs_skipped": intercepts.pairs_skipped,
-            "intercepts": len(intercepts),
-            # the intercepts are read as the quotient set of -(x^2 + y^2)/2
-            "quotient_crosscheck_ok": True,
-        }
-        if getattr(args, "intercepts_out", None):
-            reports.write_csv(args.intercepts_out, ["intercept"],
-                              reports.values_csv_rows(intercepts.values))
-    else:  # pragma: no cover
-        raise InputError(f"unknown experiment {experiment!r}")
-
+    results, csv_rows = experiment.run(inp)
+    if inp.csv_out:
+        reports.write_csv(inp.csv_out, experiment.csv[2], csv_rows)
     elapsed = time.perf_counter() - started
-    report = reports.build_report(experiment, _config_echo(config, g, spec),
+    report = reports.build_report(args.experiment, _config_echo(config, inp),
                                   results, elapsed_s=elapsed)
     output = config.get("output")
     if output:

@@ -146,6 +146,16 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
     return QuadrupleHistogram(dict(merged), family.key_scale)
 
 
+def require_nondegenerate(g: Poly, allow_degenerate: bool | None = None) -> None:
+    """Refuse g that violates the growth theorem's hypotheses (DegenerateError).
+    ``allow_degenerate`` None, as in verify_chain, refuses it with no
+    ``--allow-degenerate`` hint, since no flag can let it through."""
+    verdict = degeneracy_test(g)
+    if verdict.degenerate and not allow_degenerate:
+        hint = "" if allow_degenerate is None else " (pass --allow-degenerate to chart it anyway)"
+        raise DegenerateError(f"theorem hypotheses violated: {verdict.witness}{hint}")
+
+
 # -- the verification chain ------------------------------------------------
 
 
@@ -213,9 +223,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     ``sign_bridge`` link records that reading.  That the set kernel of
     quotient_set agrees with it is checked by the tests, not per run.
     """
-    verdict = degeneracy_test(g)
-    if verdict.degenerate:
-        raise DegenerateError(f"theorem hypotheses violated: {verdict.witness}")
+    require_nondegenerate(g)
     degree = g.total_degree()
     n = len(ground)
 
@@ -357,9 +365,7 @@ def exponent_scan(g: Poly, family: SetSpec, sizes: Sequence[int],
         raise InputError("scan sizes must be integers >= 2")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("scan sizes must be strictly increasing")
-    verdict = degeneracy_test(g)
-    if verdict.degenerate and not allow_degenerate:
-        raise DegenerateError(f"theorem hypotheses violated: {verdict.witness}")
+    require_nondegenerate(g, allow_degenerate)
     rows = []
     for size in sizes:
         ground = generate_set(family.with_size(size))

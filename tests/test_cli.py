@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import quotlab
 from quotlab import bisectors, lines, quotients
 from quotlab.cli import main
@@ -455,6 +457,99 @@ def test_config_experiment_mismatch_rejected(tmp_path):
     config.write_text(json.dumps({"experiment": "chain"}))
     code, _ = run_cli(tmp_path, "quotient", "--config", str(config))
     assert code == 1
+
+
+# Per experiment: its input fields as config values, and its CSV flag.
+ROUND_TRIP = {
+    "degeneracy": ({"g": json.loads(G_XY)}, None),
+    "quotient": ({"g": json.loads(G_X), "set": json.loads(AP3)}, "--values-out"),
+    "chain": ({"g": json.loads(G_XY), "set": json.loads(AP3)}, "--histogram-out"),
+    "rich-points": ({"g": json.loads(G_XY), "set": json.loads(AP3), "thresholds": [2, 3]},
+                    "--points-out"),
+    "incidences": ({"g": json.loads(G_X), "set": json.loads(AP3),
+                    "points": [["0", "0"], ["1", "1/2"], ["2", "0"]]}, None),
+    "exponent-scan": ({"g": json.loads(G_X), "set": json.loads(AP3), "sizes": [4, 8]},
+                      "--scan-out"),
+    "bisector": ({"set": {"kind": "uniform-random-integer", "range": [1, 60], "size": 6,
+                          "seed": 1}}, "--intercepts-out"),
+}
+
+
+@pytest.mark.parametrize("experiment", list(ROUND_TRIP))
+def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
+    fields, csv_flag = ROUND_TRIP[experiment]
+    flags = [experiment, "--workers", "2", "--seed", "5", "--allow-degenerate"]
+    for field, value in fields.items():
+        text = ",".join(map(str, value)) if field in ("sizes", "thresholds") else json.dumps(value)
+        flags += [f"--{field}", text]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": experiment, "workers": 2, "seed": 5,
+                                  "allow_degenerate": True, **fields}))
+    runs = []
+    for name, argv in (("flags", flags), ("config", [experiment, "--config", str(config)])):
+        (tmp_path / name).mkdir()
+        csv_path = tmp_path / name / "out.csv"
+        code, report = run_cli(tmp_path / name, *argv,
+                               *([csv_flag, str(csv_path)] if csv_flag else []))
+        assert code == 0
+        runs.append((report["results"], report["config"],
+                     csv_path.read_bytes() if csv_flag else None))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["workers"] == 2 and runs[0][1]["allow_degenerate"] is True
+    if experiment == "bisector":
+        assert runs[0][1]["set"]["seed"] == 5
+    if csv_flag:
+        assert runs[0][2].count(b"\n") > 1
+
+
+@pytest.mark.parametrize("experiment, fields, flags, message", [
+    ("exponent-scan", {}, ["--sizes", ""], "sizes must be a nonempty list of integers"),
+    ("exponent-scan", {"sizes": "8,16"}, [], "sizes must be a nonempty list of integers"),
+    ("rich-points", {"thresholds": 3}, [], "thresholds must be a nonempty list of integers"),
+    ("chain", {"workers": True}, [], "workers must be an integer >= 1"),
+    ("quotient", {"seed": "7"}, [], "seed must be an integer"),
+    ("quotient", {"g": json.loads(G_Y2), "allow_degenerate": "no"}, [],
+     "allow_degenerate must be true or false"),
+], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool", "seed-string",
+        "allow-degenerate-string"])
+def test_malformed_typed_field_is_input_error(tmp_path, capsys, experiment, fields, flags,
+                                              message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "g": json.loads(G_X),
+        "set": {"kind": "uniform-random-integer", "range": [1, 60], "size": 4, "seed": 1},
+        **fields}))
+    code, report = run_cli(tmp_path, experiment, "--config", str(config), *flags)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("degeneracy", {"g": json.loads(G_XY), "set": {"kind": "nonsense"}}),
+    ("bisector", {"g": json.loads(G_XY), "set": json.loads(AP3)}),
+])
+def test_config_field_the_experiment_does_not_read_is_rejected(tmp_path, capsys,
+                                                               experiment, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, report = run_cli(tmp_path, experiment, "--config", str(path))
+    assert code == 1
+    assert report is None
+    unused = "set" if experiment == "degeneracy" else "g"
+    assert f"unknown config field(s): ['{unused}']" in capsys.readouterr().err
+
+
+def test_degenerate_g_names_the_override_only_where_it_applies(capsys):
+    hint = " (pass --allow-degenerate to chart it anyway)\n"
+    for argv, overridable in (
+            (["quotient", "--g", G_Y2, "--set", AP3], True),
+            (["exponent-scan", "--g", G_Y2, "--set", AP3, "--sizes", "4,8"], True),
+            (["chain", "--g", G_Y2, "--set", AP3, "--allow-degenerate"], False)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis violation: theorem hypotheses violated: g has no")
+        assert err.endswith(hint) == overridable
 
 
 def test_missing_required_field_is_input_error(tmp_path):
