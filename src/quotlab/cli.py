@@ -123,6 +123,7 @@ def _chain(inp):
 
 
 def _rich_points(inp):
+    lines.check_thresholds(inp.thresholds)  # before the sweep, not after it
     ground = generate_set(inp.set)
     family = lines.build_lines(inp.g, ground, ground)
     weights = lines.crossing_weights(family, workers=inp.workers, points=bool(inp.csv_out))

@@ -39,7 +39,8 @@ m_l + M_l = T_r = m_r + ... + m_k.  So, for any multiplicities:
 
 A process holds the groups of one line and, for the chain, one count per
 abscissa.  Only rich-points --points-out keeps the points.  Both
-enumerations shard by _class_shards and merge the shards in range order.
+enumerations shard by _class_shards and fold the other shards into the
+first shard's part, in range order.
 """
 
 from __future__ import annotations
@@ -253,12 +254,14 @@ def _pair_keys_chunk(args):
 
 def pair_keys(family: LineMultiset, columns: list[list[int]], collect, workers: int):
     """The keys of the crossings of ``columns`` (scaled intercepts, one list
-    per slope class of ``family``) merged into one ``collect()``."""
+    per slope class of ``family``): the first shard's ``collect()``, with
+    the other shards' parts folded into it in range order, so that no copy
+    of the result is made."""
     sb, _lb, _sc, _mults, _lc, xscale = family.table
     tasks = [((sb, columns, xscale), lo, hi, collect)
              for lo, hi in _class_shards(family, workers)]
-    merged = collect()
-    for part in run_chunks(_pair_keys_chunk, tasks, workers):
+    merged, *rest = run_chunks(_pair_keys_chunk, tasks, workers)
+    for part in rest:
         merged.update(part)
     return merged
 
@@ -456,14 +459,19 @@ def intersection_points(weights: CrossingWeights) -> list[PointMultiplicity]:
             for (xk, yk), n in sorted(weights.points.items())]
 
 
-def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
-                       weights: CrossingWeights) -> list[RichPointReport]:
-    """Rich-point counts of ``family`` for several thresholds, read off its
-    ``crossing_weights``."""
+def check_thresholds(thresholds: Sequence[int]) -> None:
+    """Refuse a rich-point threshold that is not an integer >= 2."""
     for t in thresholds:
         if not isinstance(t, int) or t < 2:
             raise InputError("rich-point threshold must be an integer >= 2 "
                              "(points on fewer than 2 distinct lines are not materialized)")
+
+
+def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
+                       weights: CrossingWeights) -> list[RichPointReport]:
+    """Rich-point counts of ``family`` for several thresholds, read off its
+    ``crossing_weights``."""
+    check_thresholds(thresholds)
     w2 = family.total_weight ** 2
     out = []
     for t in thresholds:

@@ -88,13 +88,13 @@ class QuadrupleHistogram:
     """Exact Q(x) per crossing abscissa; total = |A|^3 (|A| - 1).
 
     ``pairs_by_key``: Q(x)/2 under the family's integer abscissa keys (see
-    lines.py), a plain dict in no particular order; the chain compares it
-    with the sweep.  ``counts`` (x -> Q(x), ascending in x) and ``support``
-    are built on first use."""
+    lines.py), the walk's own Counter, its keys in merge order; the chain
+    compares it with the sweep.  ``counts`` (x -> Q(x), ascending in x) and
+    ``support`` are built on first use."""
 
     __slots__ = ("pairs_by_key", "scale", "_counts")
 
-    def __init__(self, pairs_by_key: dict[int, int], scale: tuple[int, int]):
+    def __init__(self, pairs_by_key: Counter, scale: tuple[int, int]):
         self.pairs_by_key = pairs_by_key
         self.scale = scale
         self._counts = None
@@ -133,7 +133,8 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
-    """Exact Q(x) over the family of g on A x A (build_lines(g, A, A)).
+    """Exact Q(x) over the family of g on A x A (build_lines(g, A, A)),
+    held in the Counter the pair walk merged its shards into.
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
@@ -141,9 +142,9 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
     # each line repeated by its multiplicity, so that the walk counts value pairs
     expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
                 for cs, ms in zip(sc_lists, mult_lists)]
-    merged = pair_keys(family, expanded, Counter, workers)
     # each unordered slope pair stands for both ordered ones: Q = 2 * pairs
-    return QuadrupleHistogram(dict(merged), family.key_scale)
+    merged = pair_keys(family, expanded, Counter, workers)
+    return QuadrupleHistogram(merged, family.key_scale)
 
 
 def require_nondegenerate(g: Poly, allow_degenerate: bool | None = None) -> None:
@@ -237,7 +238,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
             max_point_weight=0, point_weight_cap=degree * n,
             point_weight_within_cap=True, energy_bound_ratio=None,
             energy_bound_ratio_excl_zero=None, inferred_lower_bound=0.0,
-            histogram=QuadrupleHistogram({}, (1, 1)), links={"empty_instance": True})
+            histogram=QuadrupleHistogram(Counter(), (1, 1)), links={"empty_instance": True})
 
     family = build_lines(g, ground, ground)
     # The histogram runs first: the sweep's memory check needs |X|.
@@ -257,7 +258,8 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     swept, pairs = sweep.pairs_by_key, hist.pairs_by_key  # Q(x)/2 by key
     if swept.keys() != pairs.keys():
         raise InternalCheckError("crossing abscissas differ from histogram support")
-    if swept != pairs:
+    # dict equality, in C; two Counters would compare in a Python loop
+    if not dict.__eq__(swept, pairs):
         key = min(k for k, q in pairs.items() if swept[k] != q)
         raise InternalCheckError(
             f"per-abscissa quadruple identity failed at {key_value(key, family.key_scale)}")

@@ -48,8 +48,7 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Non
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def points_csv_rows(weights) -> Iterable[tuple]:

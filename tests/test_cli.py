@@ -32,6 +32,11 @@ def run_cli(tmp_path, *argv):
     return code, report
 
 
+def read_csv(path):
+    with path.open() as fh:
+        return list(csv.reader(fh))
+
+
 def test_degeneracy_degenerate_polynomial(tmp_path):
     code, report = run_cli(tmp_path, "degeneracy", "--g", G_Y2)
     assert code == 0
@@ -81,7 +86,7 @@ def test_chain_report_and_histogram_csv(tmp_path):
     assert code == 0
     assert report["results"]["size_x"] == 3
     assert report["results"]["energy_support"] == 20
-    rows = list(csv.reader(hist_path.open()))
+    rows = read_csv(hist_path)
     assert rows[0] == ["x", "count"]
     assert rows[1:] == [["-1", "2"], ["0", "4"], ["1", "2"]]
 
@@ -101,7 +106,7 @@ def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
                            "--workers", "1", "--histogram-out", str(hist_path))
     assert code == 0
     assert calls == {"histogram": 1, "quotient": 0}
-    rows = list(csv.reader(hist_path.open()))
+    rows = read_csv(hist_path)
     assert len(rows) - 1 == report["results"]["size_x"]
 
 
@@ -183,7 +188,7 @@ def test_rich_points_report_and_csv(tmp_path):
     assert code == 0
     by_t = {row["t"]: row["count"] for row in report["results"]["thresholds"]}
     assert by_t == {2: 4, 3: 0}
-    rows = list(csv.reader(pts_path.open()))
+    rows = read_csv(pts_path)
     assert rows[0] == ["x", "y", "n"]
     assert rows[1:] == [["-1", "-1", "2"], ["0", "-1", "2"],
                         ["0", "0", "2"], ["1", "0", "2"]]
@@ -204,7 +209,7 @@ def test_rich_points_aggregates_the_crossings_once(tmp_path, monkeypatch):
                            "--workers", "1")
     assert code == 0
     assert len(calls) == 1
-    rows = list(csv.reader(pts_path.open()))
+    rows = read_csv(pts_path)
     assert report["results"]["thresholds"][0]["count"] == len(rows) - 1
 
 
@@ -311,13 +316,13 @@ def test_value_csvs_are_written_from_the_keys(tmp_path, monkeypatch):
                            "--values-out", str(values_path), "--workers", "1")
     assert code == 0
     assert report["results"]["values"] == ["-2", "-1", "-1/2", "0", "1/2", "1", "2"]
-    assert [row for row, in list(csv.reader(values_path.open()))[1:]] == \
+    assert [row for row, in read_csv(values_path)[1:]] == \
         report["results"]["values"]
     spec = json.dumps({"kind": "explicit", "values": BISECTOR_RAND_SET})
     code, report = run_cli(tmp_path, "bisector", "--set", spec, "--workers", "1",
                            "--intercepts-out", str(intercepts_path))
     assert code == 0
-    assert len(list(csv.reader(intercepts_path.open()))) - 1 == report["results"]["intercepts"]
+    assert len(read_csv(intercepts_path)) - 1 == report["results"]["intercepts"]
     assert built == []
 
 
@@ -329,7 +334,7 @@ def test_points_csv_is_written_from_the_keys(tmp_path, monkeypatch):
                            "--workers", "1")
     assert code == 0
     (row,) = report["results"]["thresholds"]
-    assert len(list(csv.reader(pts_path.open()))) - 1 == row["count"]
+    assert len(read_csv(pts_path)) - 1 == row["count"]
     # the one bound ratio of the report; none per point
     assert built == [Fraction(row["bound_ratio"])]
 
@@ -344,16 +349,32 @@ def test_chain_reads_out_only_the_sampled_abscissas(tmp_path, monkeypatch):
     results = report["results"]
     assert results["size_x"] > 100
     assert results["links"]["vertical_mass_samples"] == 3
-    assert len(list(csv.reader(hist_path.open()))) - 1 == results["size_x"]
+    assert len(read_csv(hist_path)) - 1 == results["size_x"]
     # the three sampled abscissas, then size_bound_limit; none for the CSV
     assert len(built) <= 3 + 1
     assert built[-1] == Fraction(results["size_bound_limit"])
 
 
-def test_rich_points_threshold_below_two_is_input_error(tmp_path):
-    code, _ = run_cli(tmp_path, "rich-points", "--g", G_X, "--set", AP3,
-                      "--thresholds", "1")
+def test_rich_points_threshold_below_two_is_input_error(tmp_path, monkeypatch, capsys):
+    # refused before the family is built and swept, not after
+    calls = []
+
+    def counted(name):
+        kernel = getattr(lines, name)
+
+        def run(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return run
+
+    for name in ("build_lines", "crossing_weights"):
+        monkeypatch.setattr(lines, name, counted(name))
+    code, report = run_cli(tmp_path, "rich-points", "--g", G_XY, "--set", AP3,
+                           "--thresholds", "2,1")
     assert code == 1
+    assert report is None
+    assert calls == []
+    assert "error: rich-point threshold must be an integer >= 2" in capsys.readouterr().err
 
 
 def test_incidences(tmp_path):
@@ -373,7 +394,7 @@ def test_exponent_scan_with_csv(tmp_path):
     assert code == 0
     assert [row["size"] for row in report["results"]["rows"]] == [4, 8, 16]
     assert 1.5 <= report["results"]["slope"] <= 2.2
-    rows = list(csv.reader(scan_path.open()))
+    rows = read_csv(scan_path)
     assert rows[0] == ["size", "quotients", "log_size", "log_quotients"]
     assert len(rows) == 4
 
@@ -402,7 +423,7 @@ def test_bisector_report(tmp_path):
     assert res["pairs_considered"] == 4
     assert res["pairs_skipped"] == 2
     assert res["quotient_crosscheck_ok"] is True
-    rows = list(csv.reader(csv_path.open()))
+    rows = read_csv(csv_path)
     assert len(rows) == res["intercepts"] + 1
 
 

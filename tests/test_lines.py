@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -223,6 +224,33 @@ def test_every_kernel_takes_its_tasks_from_the_class_shards(monkeypatch):
             quadruple_histogram(family, workers=workers)
             crossing_weights(family, workers=workers)
             assert seen == [lines._class_shards(family, workers)] * 3
+
+
+def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
+    parts = []
+
+    def inline(fn, tasks, workers):
+        parts[:] = [fn(task) for task in tasks]
+        return list(parts)
+
+    monkeypatch.setattr(lines, "run_chunks", inline)
+    one_class = LineMultiset([Line(frac(2), frac(c), 1) for c in range(3)])
+    families = [one_class] + [build_lines(g, ground, ground) for g, ground in (
+        (G_XY, GroundSet.of(*range(1, 7))),
+        (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))))]  # repeated lines
+    for family in families:
+        for workers in (1, 2, 3):
+            for kind in (set, Counter):
+                made = []
+
+                def collect():
+                    made.append(kind())
+                    return made[-1]
+
+                merged = lines.pair_keys(family, family.table[2], collect, workers)
+                assert len(made) == len(lines._class_shards(family, workers))
+                assert merged is parts[0]
+            assert quadruple_histogram(family, workers=workers).pairs_by_key is parts[0]
 
 
 def test_memory_check_admits_desk_runs_and_refuses_quartic_ones(monkeypatch):
