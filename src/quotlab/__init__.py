@@ -7,10 +7,9 @@ from .rationals import parse_rational, format_rational, as_rational
 from .polynomials import (Poly, DegeneracyVerdict, bivariate_from_terms,
                           bivariate_to_terms, degeneracy_test, slice_difference)
 from .sets import GroundSet, SetSpec, generate_set
-from .lines import (Line, LineMultiset, PointMultiplicity, RichPointReport,
-                    IncidenceReport, build_lines, vertical_section,
-                    crossing_weights, intersection_points, rich_point_reports,
-                    incidences)
+from .lines import (Line, LineMultiset, RichPointReport, IncidenceReport,
+                    build_lines, vertical_section, crossing_weights,
+                    rich_point_reports, incidences)
 from .quotients import (QuotientSet, QuadrupleHistogram, ChainReport,
                         ScanReport, quotient_set, quadruple_histogram,
                         verify_chain, exponent_scan, fit_loglog_slope)
@@ -25,9 +24,9 @@ __all__ = [
     "Poly", "DegeneracyVerdict", "bivariate_from_terms", "bivariate_to_terms",
     "degeneracy_test", "slice_difference",
     "GroundSet", "SetSpec", "generate_set",
-    "Line", "LineMultiset", "PointMultiplicity", "RichPointReport",
-    "IncidenceReport", "build_lines", "vertical_section", "crossing_weights",
-    "intersection_points", "rich_point_reports", "incidences",
+    "Line", "LineMultiset", "RichPointReport", "IncidenceReport",
+    "build_lines", "vertical_section", "crossing_weights",
+    "rich_point_reports", "incidences",
     "QuotientSet", "QuadrupleHistogram", "ChainReport", "ScanReport",
     "quotient_set", "quadruple_histogram", "verify_chain", "exponent_scan",
     "fit_loglog_slope",

@@ -7,14 +7,15 @@ counts the lines through (x, y) *with* multiplicity.
 
 A family is one integer table (LineMultiset.table), grouped by slope:
 slopes S = s*lb, intercepts C = c*lc, and the abscissa scale M, the lcm
-of all slope differences.  build_lines fills it from integer evaluations
-of g: the denominators of A, B and g's coefficients are cleared once, g is
-evaluated |A||B| times on the integer grid, equal (slope, intercept)
-integers merge, and one gcd brings lc down to the lcm of the intercepts'
-denominators.  A run-time anchor ties that evaluation to g: at the first,
-middle and last elements of A and of B, Poly.evaluate must give a line of
-the table.  The Fraction lines (LineMultiset.lines) are a view of the
-table, built on first use.
+of all slope differences.  build_lines makes every family, from integer
+evaluations of g: the denominators of A, B and g's coefficients are
+cleared once, g is evaluated |A||B| times on the integer grid, equal
+(slope, intercept) integers merge, and LineMultiset(columns, lb, lc)
+sorts them into the table, where one gcd brings lc down to the lcm of the
+intercepts' denominators.  A run-time anchor ties that evaluation to g:
+at the first, middle and last elements of A and of B, Poly.evaluate must
+give a line of the table.  The Fraction lines (LineMultiset.lines) are a
+view of the table, built on first use.
 
 Lines of classes i < j cross at the x whose key x*lc*M/lb =
 (C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify x exactly
@@ -54,7 +55,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .parallel import run_chunks, uses_pool
 from .polynomials import Poly
-from .rationals import scaled_ints
 from .sets import GroundSet
 
 # Peak RSS, measured on g = xy and x + y^2 and rounded up, per entry (one
@@ -72,57 +72,30 @@ class Line(NamedTuple):
     multiplicity: int
 
 
-def _class_table(columns: dict[int, dict[int, int]], lb: int, lc: int) -> tuple:
-    """The family table from ``columns``, scaled slope s*lb -> {scaled
-    intercept c*lc: multiplicity}: (SB, LB, intercept lists, multiplicity
-    lists, LC, M), one list per slope in ascending order, each ascending.
-    The common factor of lc and every scaled intercept is divided out, so
-    that LC is the lcm of the intercepts' denominators."""
-    h = gcd(lc, *(c for column in columns.values() for c in column))
-    sb = sorted(columns)
-    sc_lists, mult_lists = [], []
-    for s in sb:
-        column = columns[s]
-        cs = sorted(column)
-        sc_lists.append([c // h for c in cs])
-        mult_lists.append([column[c] for c in cs])
-    xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
-    return sb, lb, sc_lists, mult_lists, lc // h, xscale
-
-
 class LineMultiset:
     """Distinct lines with multiplicities; total weight = sum of them.
 
-    ``table`` is the family (see the module docstring); ``LineMultiset(lines)``
-    builds it from hand-made Fraction lines, build_lines from g."""
+    ``table`` is the family (see the module docstring), read off
+    ``columns``, scaled slope s*lb -> {scaled intercept c*lc: multiplicity}:
+    (SB, LB, intercept lists, multiplicity lists, LC, M), one list per slope
+    in ascending order, each ascending.  The common factor of lc and every
+    scaled intercept is divided out, so that LC is the lcm of the
+    intercepts' denominators.  build_lines makes every family."""
 
     __slots__ = ("table", "_lines")
 
-    def __init__(self, lines: Sequence[Line]):
-        seen = set()
-        for line in lines:
-            key = (line.slope, line.intercept)
-            if key in seen:
-                raise InputError("duplicate (slope, intercept) in line multiset")
-            if line.multiplicity < 1:
-                raise InputError("line multiplicity must be >= 1")
-            seen.add(key)
-        slopes = sorted({line.slope for line in lines})
-        sb, lb = scaled_ints(slopes)
-        scaled_slope = dict(zip(slopes, sb))
-        cs, lc = scaled_ints([line.intercept for line in lines])
-        columns: dict[int, dict[int, int]] = {}
-        for line, c in zip(lines, cs):
-            columns.setdefault(scaled_slope[line.slope], {})[c] = line.multiplicity
-        self.table, self._lines = _class_table(columns, lb, lc), None
-
-    @classmethod
-    def from_columns(cls, columns: dict[int, dict[int, int]], lb: int,
-                     lc: int) -> "LineMultiset":
-        """The family of ``columns`` as _class_table reads them."""
-        family = cls.__new__(cls)
-        family.table, family._lines = _class_table(columns, lb, lc), None
-        return family
+    def __init__(self, columns: dict[int, dict[int, int]], lb: int, lc: int):
+        h = gcd(lc, *(c for column in columns.values() for c in column))
+        sb = sorted(columns)
+        sc_lists, mult_lists = [], []
+        for s in sb:
+            column = columns[s]
+            cs = sorted(column)
+            sc_lists.append([c // h for c in cs])
+            mult_lists.append([column[c] for c in cs])
+        xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
+        self.table = (sb, lb, sc_lists, mult_lists, lc // h, xscale)
+        self._lines = None
 
     @property
     def lines(self) -> tuple[Line, ...]:
@@ -142,9 +115,6 @@ class LineMultiset:
     @property
     def total_weight(self) -> int:
         return sum(map(sum, self.table[3]))
-
-    def __iter__(self):
-        return iter(self.lines)
 
     @property
     def max_multiplicity(self) -> int:
@@ -202,7 +172,7 @@ def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultis
         raise InputError("ground sets must be nonempty")
     rows, qb, scale = _scaled_values(g, ground_a, ground_b)
     columns = {y: Counter(-v for v in row) for y, row in rows.items()}
-    out = LineMultiset.from_columns(columns, qb, scale)
+    out = LineMultiset(columns, qb, scale)
     if out.total_weight != len(ground_a) * len(ground_b):
         raise InternalCheckError("line multiset lost weight during merging")
     # the anchor: g's own evaluation gives a line of the table at sampled pairs
@@ -429,11 +399,6 @@ def crossing_weights(family: LineMultiset, workers: int = 1, *,
 # -- public reports -------------------------------------------------------
 
 
-class PointMultiplicity(NamedTuple):
-    point: tuple[Fraction, Fraction]
-    count: int
-
-
 class RichPointReport(NamedTuple):
     threshold: int
     count: int
@@ -446,17 +411,6 @@ class IncidenceReport(NamedTuple):
     n_points: int
     n_distinct_lines: int
     total_weight: int
-
-
-def intersection_points(weights: CrossingWeights) -> list[PointMultiplicity]:
-    """The points of ``crossing_weights(..., points=True)``, sorted by
-    (x, y), with n(x, y)."""
-    if weights.points is None:
-        raise ValueError("the sweep kept no points; pass points=True to crossing_weights")
-    num, den = weights.key_scale
-    # both keys share the positive denominator, so their order is that of (x, y)
-    return [PointMultiplicity((Fraction(xk * num, den), Fraction(yk, den)), n)
-            for (xk, yk), n in sorted(weights.points.items())]
 
 
 def check_thresholds(thresholds: Sequence[int]) -> None:

@@ -74,9 +74,6 @@ class QuotientSet:
         i = bisect_left(values, value)
         return i < len(values) and values[i] == value
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.values)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QuotientSet) and self.values == other.values
 
@@ -345,6 +342,8 @@ def fit_loglog_slope(sizes: Sequence[int], counts: Sequence[int]) -> float:
         raise InputError("need >= 2 sizes")
     if any(c <= 0 for c in counts) or any(s <= 0 for s in sizes):
         raise InputError("log-log fit needs positive sizes and counts")
+    if len(set(sizes)) != len(sizes):
+        raise InputError("log-log fit needs distinct sizes")
     lx = [math.log(s) for s in sizes]
     ly = [math.log(c) for c in counts]
     mx = sum(lx) / len(lx)

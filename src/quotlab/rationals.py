@@ -6,7 +6,7 @@ and zero stored as 0/1.  That makes equality structural, so returned
 rationals serve directly as sort keys and dict/set keys.
 
 The module adds the strict text form used by config and report files
-("p/q", or "p" when the denominator is 1) and ``scaled_ints``.  The hot
+("p/q", or "p" when the denominator is 1).  The hot
 enumeration loops use no Fractions: they run on integers over one common
 denominator (much less overhead than Fraction objects), and a result
 becomes Fractions only when its values are read.  ``format_key`` writes
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
 
 from .errors import InputError
 
@@ -67,13 +66,3 @@ def as_rational(value) -> Fraction:
         return parse_rational(value)
     raise InputError(f"not a rational value: {value!r}")
 
-
-def scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: returns (scaled integers, common scale L).
-
-    Each value v maps to the integer v*L, with L the lcm of all
-    denominators; the map is injective, so distinctness and ordering of
-    the scaled integers mirror the original rationals exactly.
-    """
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    return [v.numerator * (scale // v.denominator) for v in values], scale

@@ -55,9 +55,6 @@ class GroundSet:
     def __hash__(self) -> int:
         return hash(self.values)
 
-    def issubset(self, other: "GroundSet") -> bool:
-        return set(self.values) <= set(other.values)
-
     def __repr__(self) -> str:
         inner = ", ".join(format_rational(v) for v in self.values[:8])
         if len(self.values) > 8:
@@ -102,7 +99,7 @@ class SetSpec(NamedTuple):
             return cls(kind="explicit", size=len(parsed), values=parsed)
 
         size = raw.get("size")
-        if not isinstance(size, int) or size < 1:
+        if type(size) is not int or size < 1:
             raise InputError("set spec needs integer size >= 1")
         if kind == "arithmetic":
             return cls(kind=kind, size=size,
@@ -114,10 +111,10 @@ class SetSpec(NamedTuple):
                        ratio=as_rational(raw.get("ratio", 2)))
         rng = raw.get("range")
         if (not isinstance(rng, list) or len(rng) != 2
-                or not all(isinstance(v, int) for v in rng)):
+                or not all(type(v) is int for v in rng)):
             raise InputError("uniform-random-integer needs 'range': [lo, hi]")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if type(seed) is not int:
             raise InputError("seed must be an integer")
         return cls(kind=kind, size=size, range=(rng[0], rng[1]), seed=seed)
 

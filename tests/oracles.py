@@ -6,16 +6,56 @@ with Fraction arithmetic and no shared code with the production kernels,
 so a match is meaningful.  Only usable at small |A| (quartic loops).
 energy_restricted reads quotlab's vertical sections, which the tests
 check against brute_vertical_section, and nothing of the sweep.
+family_of builds a family from hand-made Fraction lines, the reference
+that build_lines, which evaluates g in integers, is compared against; it
+shares only the LineMultiset constructor, which sorts the columns.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
-from quotlab.lines import LineMultiset, vertical_section
+from quotlab.errors import InputError
+from quotlab.lines import Line, LineMultiset, vertical_section
 from quotlab.polynomials import Poly
+from quotlab.rationals import format_rational
 from quotlab.sets import GroundSet
+
+
+def scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Clear denominators: returns (scaled integers, common scale L).
+
+    Each value v maps to the integer v*L, with L the lcm of all
+    denominators; the map is injective, so distinctness and ordering of
+    the scaled integers mirror the original rationals exactly.
+    """
+    scale = lcm(*(v.denominator for v in values)) if values else 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def family_of(lines: Sequence[Line]) -> LineMultiset:
+    """The family of hand-made Fraction lines, distinct (slope, intercept)
+    pairs of multiplicity >= 1, with slopes and intercepts scaled by the
+    lcm of their denominators."""
+    seen = set()
+    for line in lines:
+        key = (line.slope, line.intercept)
+        if key in seen:
+            raise InputError("duplicate (slope, intercept) in line multiset")
+        if line.multiplicity < 1:
+            raise InputError("line multiplicity must be >= 1")
+        seen.add(key)
+    slopes = sorted({line.slope for line in lines})
+    sb, lb = scaled_ints(slopes)
+    scaled_slope = dict(zip(slopes, sb))
+    cs, lc = scaled_ints([line.intercept for line in lines])
+    columns: dict[int, dict[int, int]] = {}
+    for line, c in zip(lines, cs):
+        columns.setdefault(scaled_slope[line.slope], {})[c] = line.multiplicity
+    return LineMultiset(columns, lb, lc)
 
 
 def _brute_values(g: Poly, elems: list) -> dict:
@@ -95,6 +135,13 @@ def brute_intersection_points(g: Poly, ground_a: GroundSet,
     for x, y in pts:
         out[(x, y)] = brute_vertical_section(g, ground_a, ground_b, x)[y]
     return out
+
+
+def point_rows(weights: dict[tuple[Fraction, Fraction], int]) -> list[tuple]:
+    """Rows (x, y, n) of ``weights`` as the points CSV writes them: text
+    rationals, sorted by (x, y)."""
+    return [(format_rational(x), format_rational(y), n)
+            for (x, y), n in sorted(weights.items())]
 
 
 def brute_point_lines(g: Poly, ground_a: GroundSet,

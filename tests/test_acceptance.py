@@ -16,20 +16,21 @@ from fractions import Fraction
 import pytest
 
 from quotlab.cli import main as cli_main
-from quotlab.lines import (build_lines, crossing_weights, incidences,
-                           intersection_points, rich_point_reports, vertical_section)
+from quotlab.lines import (build_lines, crossing_weights, incidences, rich_point_reports,
+                           vertical_section)
 from quotlab.bisectors import bisector_intercept_set
 from quotlab.polynomials import Poly, bivariate_to_terms, degeneracy_test
 from quotlab.quotients import (exponent_scan, fit_loglog_slope,
                                quadruple_histogram, quotient_set, verify_chain)
 from quotlab.rationals import format_rational
+from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet, SetSpec
 
 from oracles import (SLOPE_DIFFERENCE, brute_bisector_intercepts, brute_energy,
-                     brute_grid_pair_counts, brute_incidences, brute_quadruple_histogram,
-                     brute_quotient_set, constructed_bisector_intercepts,
-                     divide_by_linear, energy_restricted, pair_difference,
-                     random_ground_set, random_polynomial)
+                     brute_grid_pair_counts, brute_incidences, brute_point_lines,
+                     brute_quadruple_histogram, brute_quotient_set,
+                     constructed_bisector_intercepts, divide_by_linear, energy_restricted,
+                     pair_difference, point_rows, random_ground_set, random_polynomial)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -77,7 +78,7 @@ def test_criterion_1_collapsed_quadratic_closed_form():
         size = len(quotient_set(G_Y2, ground))
         assert size == 2 * n - 3, f"n={n}: got {size}"
         if n <= 10:
-            assert quotient_set(G_Y2, ground).as_set() == brute_quotient_set(G_Y2, ground)
+            assert set(quotient_set(G_Y2, ground)) == brute_quotient_set(G_Y2, ground)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report_line(1, True, f"|X| = 2n-3 for n in 2..50, oracle-checked to n=10 "
@@ -124,7 +125,7 @@ def test_criterion_4_conservation_identities():
             assert sum(vertical_section(family, x).values()) == n * n
         hist = quadruple_histogram(family)
         assert hist.total == n ** 3 * (n - 1)
-        assert {-x for x in hist.support} == quotient_set(g, ground).as_set()
+        assert {-x for x in hist.support} == set(quotient_set(g, ground))
     report_line(4, True, "mass, quadruple-count, and sign-bridge identities "
                          "exact on 20 seeded instances (|A| <= 12, deg <= 4)")
 
@@ -135,18 +136,22 @@ def test_criterion_5_oracle_equivalence():
     for k in range(8):
         g = random_polynomial(rng, max_degree=4, require_x=bool(k % 3))
         ground = random_ground_set(rng, rng.randint(2, 8), rational=bool(k % 2))
-        assert quotient_set(g, ground).as_set() == brute_quotient_set(g, ground)
+        assert set(quotient_set(g, ground)) == brute_quotient_set(g, ground)
         family = build_lines(g, ground, ground)
         assert quadruple_histogram(family).counts == \
             brute_quadruple_histogram(g, ground)
         xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
-        crossings = intersection_points(crossing_weights(family, points=True))
-        xs += [pm.point[0] for pm in crossings[:3]]
+        n_at = {point: len(through)
+                for point, through in brute_point_lines(g, ground, ground).items()}
+        assert list(points_csv_rows(crossing_weights(family, points=True))) == \
+            point_rows(n_at)
+        crossings = sorted(n_at)[:3]
+        xs += [x for x, _y in crossings]
         assert energy_restricted(family, xs) == brute_energy(g, ground, ground, xs)
         pts = [(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
                for _ in range(8)]
-        pts += [pm.point for pm in crossings[:3]]
-        weighted = [(l.slope, l.intercept, l.multiplicity) for l in family]
+        pts += crossings
+        weighted = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
         assert incidences(pts, family).count == brute_incidences(pts, weighted)
         checked += 1
     # one rectangular (A != B) energy instance through the same oracles
@@ -225,7 +230,7 @@ def criterion7_reports():
     ground = interval(16)
     family = build_lines(G_XY, ground, ground)
     weights = crossing_weights(family, points=True)
-    max_weight = max(pm.count for pm in intersection_points(weights))
+    max_weight = max(n for _x, _y, n in points_csv_rows(weights))
     thresholds = list(range(2, max_weight + 2))
     return rich_point_reports(family, thresholds, weights), max_weight
 
@@ -265,15 +270,15 @@ def test_criterion_8_bisector_corollary():
         ground = random_ground_set(rng, rng.randint(2, 12) if k else 12,
                                    rational=bool(k % 2))
         intercepts = bisector_intercept_set(ground)
-        assert intercepts.values.as_set() == brute_bisector_intercepts(ground)
-        assert intercepts.values.as_set() == constructed_bisector_intercepts(ground)
+        assert set(intercepts.values) == brute_bisector_intercepts(ground)
+        assert set(intercepts.values) == constructed_bisector_intercepts(ground)
         assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
             brute_grid_pair_counts(ground)
     # the sign-flipped scaled variant -2(x^2 - y^2) is refuted on a witness
     witness = GroundSet.of(0, 1, 3)
     flipped = Poly(2, {(2, 0): Fraction(-2), (0, 2): Fraction(2)})
-    assert quotient_set(flipped, witness).as_set() != \
-        bisector_intercept_set(witness).values.as_set()
+    assert set(quotient_set(flipped, witness)) != \
+        set(bisector_intercept_set(witness).values)
     report_line(8, True, "quotient set of -(x^2+y^2)/2 = bisector intercepts by "
                          "closed form and by construction on 10 seeded "
                          "instances; pair counts = direct count; sign-flipped "

@@ -72,8 +72,8 @@ def test_intercept_set_minimal_case():
     for ground in (GroundSet.of(0, 1), GroundSet.of(-3, 7),
                    GroundSet.of(frac(1, 3), frac(-5, 2))):
         intercepts = bisector_intercept_set(ground)
-        assert intercepts.values.as_set() == brute_bisector_intercepts(ground)
-        assert intercepts.values.as_set() == constructed_bisector_intercepts(ground)
+        assert set(intercepts.values) == brute_bisector_intercepts(ground)
+        assert set(intercepts.values) == constructed_bisector_intercepts(ground)
         assert intercepts.grid_size == 4
         # unordered pairs of 4 grid points: 6, of which 2 share a y-coordinate
         assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
@@ -104,8 +104,8 @@ def test_intercept_set_matches_brute_force(seed):
     rng = random.Random(seed)
     ground = random_ground_set(rng, rng.randint(2, 5), rational=bool(seed % 2))
     intercepts = bisector_intercept_set(ground)
-    assert intercepts.values.as_set() == brute_bisector_intercepts(ground)
-    assert intercepts.values.as_set() == constructed_bisector_intercepts(ground)
+    assert set(intercepts.values) == brute_bisector_intercepts(ground)
+    assert set(intercepts.values) == constructed_bisector_intercepts(ground)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -126,7 +126,7 @@ def test_sign_flipped_quadratic_does_not_reproduce_intercepts():
     ground = GroundSet.of(0, 1, 3)
     wrong = Poly(2, {(2, 0): frac(-2), (0, 2): frac(2)})
     intercepts = bisector_intercept_set(ground)
-    assert quotient_set(wrong, ground).as_set() != intercepts.values.as_set()
+    assert set(quotient_set(wrong, ground)) != set(intercepts.values)
 
 
 def test_growth_trend_on_progressions():

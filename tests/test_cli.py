@@ -531,8 +531,14 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
     ("quotient", {"seed": "7"}, [], "seed must be an integer"),
     ("quotient", {"g": json.loads(G_Y2), "allow_degenerate": "no"}, [],
      "allow_degenerate must be true or false"),
+    ("quotient", {"set": {"kind": "arithmetic", "size": True}}, [],
+     "set spec needs integer size >= 1"),
+    ("quotient", {"set": {"kind": "uniform-random-integer", "range": [False, 9], "size": 4,
+                          "seed": 1}}, [], "uniform-random-integer needs 'range': [lo, hi]"),
+    ("quotient", {"set": {"kind": "uniform-random-integer", "range": [1, 9], "size": 4,
+                          "seed": True}}, [], "seed must be an integer"),
 ], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool", "seed-string",
-        "allow-degenerate-string"])
+        "allow-degenerate-string", "set-size-bool", "set-range-bool", "set-seed-bool"])
 def test_malformed_typed_field_is_input_error(tmp_path, capsys, experiment, fields, flags,
                                               message):
     config = tmp_path / "config.json"

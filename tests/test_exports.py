@@ -4,7 +4,7 @@ DELETED = {
     "Rational", "normalize", "compare", "canonical_pair",
     "divide_by_linear", "pair_difference", "slope_difference_divisor",
     "depends_on_x", "PlanarPoint", "bisector_y_intercept", "rich_points",
-    "energy_restricted",
+    "energy_restricted", "intersection_points", "PointMultiplicity",
 }
 
 

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from quotlab import lines
 from quotlab.errors import InputError, ResourceCapError
-from quotlab.lines import (Line, LineMultiset, build_lines, check_crossing_memory,
-                           crossing_pair_count, crossing_weights, incidences,
-                           intersection_points, rich_point_reports, vertical_section)
+from quotlab.lines import (Line, build_lines, check_crossing_memory, crossing_pair_count,
+                           crossing_weights, incidences, rich_point_reports,
+                           vertical_section)
 from quotlab.polynomials import Poly
 from quotlab.quotients import quadruple_histogram, quotient_set
+from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet
 
 from oracles import (brute_energy, brute_incidences, brute_intersection_points,
-                     brute_vertical_section, energy_restricted, instance_lines,
-                     random_ground_set, random_polynomial)
+                     brute_vertical_section, energy_restricted, family_of, instance_lines,
+                     point_rows, random_ground_set, random_polynomial)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -39,7 +40,8 @@ def frac(p, q=1):
 
 
 def points(family, **kwargs):
-    return intersection_points(crossing_weights(family, points=True, **kwargs))
+    """The rows (x, y, n) the points CSV gets from the sweep of ``family``."""
+    return list(points_csv_rows(crossing_weights(family, points=True, **kwargs)))
 
 
 def rich(family, t):
@@ -50,7 +52,7 @@ def rich(family, t):
 
 def test_build_lines_four_distinct():
     family = build_lines(G_X, A01, A01)
-    rows = {(l.slope, l.intercept): l.multiplicity for l in family}
+    rows = {(l.slope, l.intercept): l.multiplicity for l in family.lines}
     assert rows == {(frac(0), frac(0)): 1, (frac(0), frac(-1)): 1,
                     (frac(1), frac(0)): 1, (frac(1), frac(-1)): 1}
     assert family.total_weight == 4
@@ -69,7 +71,7 @@ def test_build_lines_merges_equal_lines():
 
 def test_build_lines_singleton():
     family = build_lines(G_X, GroundSet.of(5), GroundSet.of(5))
-    assert [(l.slope, l.intercept) for l in family] == [(frac(5), frac(-5))]
+    assert [(l.slope, l.intercept) for l in family.lines] == [(frac(5), frac(-5))]
 
 
 def test_build_lines_collapsing_slope_reports_multiplicity():
@@ -110,25 +112,23 @@ def test_vertical_mass_conservation(seed):
 # -- intersection enumeration -------------------------------------------------
 
 def test_intersection_points_worked_example():
-    pts = points(build_lines(G_X, A01, A01))
-    assert [(p.point, p.count) for p in pts] == [
-        ((frac(-1), frac(-1)), 2),
-        ((frac(0), frac(-1)), 2),
-        ((frac(0), frac(0)), 2),
-        ((frac(1), frac(0)), 2),
+    assert points(build_lines(G_X, A01, A01)) == [
+        ("-1", "-1", 2),
+        ("0", "-1", 2),
+        ("0", "0", 2),
+        ("1", "0", 2),
     ]
 
 
 def test_single_slope_class_has_no_intersections():
-    family = LineMultiset([Line(frac(2), frac(c), 1) for c in range(5)])
+    family = family_of([Line(frac(2), frac(c), 1) for c in range(5)])
     assert points(family) == []
 
 
 def test_three_concurrent_lines():
-    family = LineMultiset([Line(frac(1), frac(0), 1), Line(frac(2), frac(0), 1),
-                           Line(frac(-1), frac(0), 1)])
-    pts = points(family)
-    assert [(p.point, p.count) for p in pts] == [((frac(0), frac(0)), 3)]
+    family = family_of([Line(frac(1), frac(0), 1), Line(frac(2), frac(0), 1),
+                        Line(frac(-1), frac(0), 1)])
+    assert points(family) == [("0", "0", 3)]
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -139,9 +139,8 @@ def test_intersections_match_brute_force(seed):
     ground_a = random_ground_set(rng, rng.randint(1, 4), rational=bool(seed % 2))
     ground_b = random_ground_set(rng, rng.randint(2, 4))
     family = build_lines(g, ground_a, ground_b)
-    expected = brute_intersection_points(g, ground_a, ground_b)
-    got = {pm.point: pm.count for pm in points(family)}
-    assert got == expected
+    expected = point_rows(brute_intersection_points(g, ground_a, ground_b))
+    assert points(family) == expected
 
 
 def test_intersections_deterministic_across_workers():
@@ -202,7 +201,7 @@ def test_class_shards_are_contiguous_shares_of_the_line_pairs():
     assert lines._class_shards(family, 1) == [(0, 5)]
     assert lines._class_shards(family, 2) == [(0, 2), (2, 5)]
     assert lines._class_shards(family, 3) == [(0, 1), (1, 3), (3, 5)]
-    single = LineMultiset([Line(frac(2), frac(c), 1) for c in range(3)])
+    single = family_of([Line(frac(2), frac(c), 1) for c in range(3)])
     assert lines._class_shards(single, 2) == [(0, 0)]
 
 
@@ -234,7 +233,7 @@ def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
         return list(parts)
 
     monkeypatch.setattr(lines, "run_chunks", inline)
-    one_class = LineMultiset([Line(frac(2), frac(c), 1) for c in range(3)])
+    one_class = family_of([Line(frac(2), frac(c), 1) for c in range(3)])
     families = [one_class] + [build_lines(g, ground, ground) for g, ground in (
         (G_XY, GroundSet.of(*range(1, 7))),
         (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))))]  # repeated lines
@@ -331,7 +330,7 @@ def test_rich_points_decay():
     family = build_lines(G_XY, ground, ground)
     counts = [rich(family, t).count for t in range(2, 12)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    max_n = max((p.count for p in points(family)), default=0)
+    max_n = max((n for _x, _y, n in points(family)), default=0)
     assert rich(family, max_n + 1).count == 0
 
 
@@ -347,14 +346,14 @@ def test_rich_points_empty_above_degree_cap():
 # -- incidences -------------------------------------------------------------
 
 def test_incidences_single_point():
-    family = LineMultiset([Line(frac(0), frac(0), 1), Line(frac(1), frac(0), 1),
-                           Line(frac(0), frac(1), 1)])
+    family = family_of([Line(frac(0), frac(0), 1), Line(frac(1), frac(0), 1),
+                        Line(frac(0), frac(1), 1)])
     report = incidences([(frac(0), frac(0))], family)
     assert report.count == 2
 
 
 def test_incidences_empty_points():
-    family = LineMultiset([Line(frac(0), frac(0), 1)])
+    family = family_of([Line(frac(0), frac(0), 1)])
     assert incidences([], family).count == 0
 
 
@@ -362,11 +361,11 @@ def test_incidences_grid_with_weighted_horizontals():
     # vertical lines are out of scope, so "6 lines, 3 grid points each" is
     # realized as the 3 horizontals of the grid carried with multiplicity 2
     grid = [(frac(i), frac(j)) for i in range(3) for j in range(3)]
-    family = LineMultiset([Line(frac(0), frac(j), 2) for j in range(3)])
+    family = family_of([Line(frac(0), frac(j), 2) for j in range(3)])
     report = incidences(grid, family)
     assert family.total_weight == 6
     assert report.count == 18
-    rows = [(l.slope, l.intercept, l.multiplicity) for l in family]
+    rows = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
     assert report.count == brute_incidences(grid, rows)
 
 
@@ -379,7 +378,7 @@ def test_incidences_match_brute_force(seed):
     family = build_lines(g, ground, ground)
     pts = [(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
            for _ in range(6)]
-    weighted = [(l.slope, l.intercept, l.multiplicity) for l in family]
+    weighted = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
     assert incidences(pts, family).count == brute_incidences(pts, weighted)
 
 
@@ -399,7 +398,7 @@ def test_master_pair_accounting(seed):
     # |X| is at most one abscissa per line pair
     weights = crossing_weights(family, support_size=pairs, points=True)
     total = 2 * sum(weights.pairs_by_key.values())
-    assert len(weights) == len(intersection_points(weights))
+    assert len(weights) == len(list(points_csv_rows(weights)))
     assert len(weights) <= pairs == weights.pairs
     na, nb = len(ground_a), len(ground_b)
     assert total == na * na * nb * (nb - 1)

@@ -72,7 +72,7 @@ def test_with_size_keeps_family():
     spec = spec_of(kind="arithmetic", start=2, step=3, size=4)
     bigger = generate_set(spec.with_size(6))
     assert len(bigger) == 6
-    assert GroundSet(generate_set(spec).values).issubset(bigger)
+    assert set(generate_set(spec)) <= set(bigger)
 
 
 def test_with_size_rejected_for_explicit():
@@ -95,3 +95,16 @@ def test_ground_set_sorted_distinct():
 def test_spec_round_trip():
     raw = {"kind": "geometric", "size": 5, "start": "1/2", "ratio": "3"}
     assert SetSpec.from_dict(raw).to_dict() == raw
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "arithmetic", "size": True},
+    {"kind": "geometric", "size": True},
+    {"kind": "uniform-random-integer", "range": [False, 9], "size": 4},
+    {"kind": "uniform-random-integer", "range": [1, True], "size": 4},
+    {"kind": "uniform-random-integer", "range": [1, 9], "size": 4, "seed": True},
+], ids=["arithmetic-size", "geometric-size", "range-lo", "range-hi", "seed"])
+def test_spec_integers_reject_booleans(fields):
+    # JSON true/false are Python bools, which isinstance(v, int) accepts
+    with pytest.raises(InputError):
+        SetSpec.from_dict(fields)

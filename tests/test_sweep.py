@@ -13,14 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from quotlab.lines import (Line, LineMultiset, build_lines, crossing_weights,
-                           intersection_points, rich_point_reports)
+from quotlab.lines import Line, build_lines, crossing_weights, rich_point_reports
 from quotlab.polynomials import Poly
 from quotlab.quotients import verify_chain
+from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet
 
 from oracles import (brute_intersection_points, brute_point_lines,
-                     brute_quadruple_histogram, instance_lines)
+                     brute_quadruple_histogram, family_of, instance_lines, point_rows)
 
 G_XY = Poly(2, {(1, 1): Fraction(1)})
 G_X2_PLUS_Y = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
@@ -89,7 +89,7 @@ def test_table_from_g_equals_the_table_of_the_instance_lines(name):
     else:
         g, ground_a, ground_b = TABLE_CASES[name]
     merged = Counter(instance_lines(g, ground_a, ground_b))
-    expected = LineMultiset([Line(s, c, m) for (s, c), m in merged.items()])
+    expected = family_of([Line(s, c, m) for (s, c), m in merged.items()])
     family = build_lines(g, ground_a, ground_b)
     assert family.table == expected.table
     assert family.lines == expected.lines
@@ -109,7 +109,7 @@ def test_chain_and_rich_points_match_brute_force(name):
         assert {field: getattr(report, field) for field in fields} == fields
         weights = crossing_weights(family, workers=workers, points=True)
         assert [r.count for r in rich_point_reports(family, thresholds, weights)] == rich
-        assert {pm.point: pm.count for pm in intersection_points(weights)} == n_at
+        assert list(points_csv_rows(weights)) == point_rows(n_at)
 
 
 def test_point_oracle_agrees_with_the_per_point_vertical_sections():
