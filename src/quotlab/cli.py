@@ -10,10 +10,10 @@ a committed config reproduces a run exactly.
 Run functions call kernels through module attributes at call time, so a
 wrapper patched onto a module attribute sees every call.
 
-Exit codes: 0 success, 1 usage/input error, 2 hypothesis violation,
-3 resource limit (refused up front as too large for memory, out of
-memory, or a dead worker), 4 internal check failed (an exact identity
-did not hold: a bug).
+Exit codes: 0 success, 1 usage/input error or unwritable output,
+2 hypothesis violation, 3 resource limit (refused up front as too large
+for memory, out of memory, or a dead worker), 4 internal check failed
+(an exact identity did not hold: a bug).
 """
 
 from __future__ import annotations
@@ -285,18 +285,24 @@ def _run(argv) -> int:
     experiment = EXPERIMENTS[args.experiment]
     config = _merged_config(args, experiment)
     inp = _resolve(config, experiment, args)
+    output = config.get("output")
+    for path in (output, inp.csv_out):  # refused before the run, not after it
+        if path is not None and not (isinstance(path, str) and Path(path).parent.is_dir()):
+            raise InputError(f"cannot write {path!r}: not a path in an existing directory")
     started = time.perf_counter()
     results, csv_rows = experiment.run(inp)
-    if inp.csv_out:
-        reports.write_csv(inp.csv_out, experiment.csv[2], csv_rows)
-    elapsed = time.perf_counter() - started
-    report = reports.build_report(args.experiment, _config_echo(config, inp),
-                                  results, elapsed_s=elapsed)
-    output = config.get("output")
-    if output:
-        reports.write_report(output, report)
-    else:
-        print(reports.dump_report(report))
+    try:
+        if inp.csv_out:
+            reports.write_csv(inp.csv_out, experiment.csv[2], csv_rows)
+        elapsed = time.perf_counter() - started
+        report = reports.build_report(args.experiment, _config_echo(config, inp),
+                                      results, elapsed_s=elapsed)
+        if output:
+            reports.write_report(output, report)
+        else:
+            print(reports.dump_report(report))
+    except OSError as exc:
+        raise InputError(f"cannot write the output: {exc}")
     return 0
 
 

@@ -53,7 +53,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .parallel import run_chunks, uses_pool
+from .parallel import forks_children, run_chunks
 from .polynomials import Poly
 from .sets import GroundSet
 
@@ -209,7 +209,7 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
 def _pair_keys_chunk(args):
     """Add the abscissa key of every intercept pair of slope classes i < j,
     i in [lo, hi), to ``collect()``: a set of the distinct keys, or a
-    Counter of the pairs per key.  Top-level so process pools can pickle it.
+    Counter of the pairs per key.
     """
     table, lo, hi, collect = args
     sb, columns, xscale = table
@@ -242,11 +242,8 @@ def pair_keys(family: LineMultiset, columns: list[list[int]], collect, workers: 
 def _line_keys(c: int, factors: list[int], columns: list[list[int]]) -> list[int]:
     """Abscissa keys of the line with scaled intercept ``c`` against the
     pre-scaled columns above it: c*f - C*f per line, f = M / (S_j - S_i)."""
-    keys: list[int] = []
-    for f, column in zip(factors, columns):
-        base = c * f
-        keys += [base - v for v in column]
-    return keys
+    return [base - v for f, column in zip(factors, columns) for base in (c * f,)
+            for v in column]
 
 
 def _sweep_chunk(args):
@@ -254,13 +251,14 @@ def _sweep_chunk(args):
 
     Returns (line pairs, {n: points}, {abscissa key: pairs} or None,
     {(x key, y key): n} or None); the module docstring has the identities.
-    Top-level so process pools can pickle it.
     """
     table, lo, hi, per_abscissa, keep_points = args
     sb, _lb, sc_lists, mult_lists, _lc, xscale = table
     unit = all(m == 1 for mults in mult_lists for m in mults)
     pairs = 0
     weights: Counter = Counter()
+    # unit multiplicities: the shard's groups by size c (m = 1, M_l = c), read at the end
+    unit_sizes: Counter = Counter()
     cross: Counter | None = Counter() if per_abscissa else None
     points: dict | None = {} if keep_points else None
     for i in range(lo, hi):
@@ -275,17 +273,20 @@ def _sweep_chunk(args):
             keys = _line_keys(c, factors, scaled)
             pairs += len(keys)
             groups = Counter(keys)  # distinct lines per group
-            mass = groups if unit else Counter(_line_keys(c, factors, heavy))
-            if cross is not None:
-                cross.update(keys if unit else {key: m * w for key, w in mass.items()})
-            sizes = Counter(mass.values())
-            for w, count in sizes.items():
-                weights[m + w] += count
-            # a group of c >= 2 lines takes back what its next line adds
-            shared = sizes if unit else Counter(
-                mass[key] for key, n_lines in groups.items() if n_lines > 1)
-            for w, count in shared.items():
-                if w > 1:
+            if unit:
+                unit_sizes.update(groups.values())
+                if cross is not None:
+                    cross.update(keys)
+                mass = groups
+            else:
+                mass = Counter(_line_keys(c, factors, heavy))
+                if cross is not None:
+                    cross.update({key: m * w for key, w in mass.items()})
+                for w, count in Counter(mass.values()).items():
+                    weights[m + w] += count
+                # a group of c >= 2 lines takes back what its next line adds
+                shared = Counter(mass[key] for key, n_lines in groups.items() if n_lines > 1)
+                for w, count in shared.items():
                     weights[w] -= count
             if points is not None:
                 slope, offset = sb[i], c * xscale
@@ -293,6 +294,10 @@ def _sweep_chunk(args):
                     point = (key, slope * key + offset)
                     if points.get(point, 0) < m + w:
                         points[point] = m + w
+    for w, count in unit_sizes.items():
+        weights[1 + w] += count
+        if w > 1:
+            weights[w] -= count
     return pairs, weights, cross, points
 
 
@@ -363,14 +368,16 @@ def _memory_budget() -> int:
 def check_crossing_memory(family: LineMultiset, workers: int, support_size: int = 0,
                           points: bool = False) -> None:
     """Refuse, before the sweep runs, a sweep whose estimated peak exceeds
-    physical memory: (|L| + |X|) entries in each shard and, with a pool, in
-    the merging parent, plus, for materialized points, one point per line
-    pair of distinct slopes (a bound on their number)."""
+    physical memory: (|L| + |X|) entries per part, plus, for materialized
+    points, one point per line pair of distinct slopes (a bound on their
+    number).  Run inline, the sweep holds one part.  With forked children
+    it holds n_shards + 1: one per shard, in the process that ran it or,
+    once read in, in the parent, plus the part being read in."""
     n_shards = len(_class_shards(family, workers))
-    processes = n_shards + 1 if uses_pool(n_shards, workers) else 1
-    estimate = (len(family) + support_size) * SWEEP_ENTRY_BYTES * processes
+    parts = n_shards + 1 if forks_children(n_shards, workers) else 1
+    estimate = (len(family) + support_size) * SWEEP_ENTRY_BYTES * parts
     detail = (f"({len(family)} lines + {support_size} abscissas) x {SWEEP_ENTRY_BYTES} B "
-              f"x {processes}")
+              f"x {parts}")
     if points:
         pairs = crossing_pair_count(family)
         estimate += pairs * POINT_BYTES

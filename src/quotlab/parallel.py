@@ -2,16 +2,20 @@
 
 Kernels hand run_chunks one task per contiguous range of slope classes
 (lines._class_shards, at most ``workers`` of them).  With ``workers`` > 1
-the tasks run in a process pool; partial aggregates are merged in task
-order, so the result is bit-identical for every worker count.  If a pool
-cannot be created (restricted sandboxes), tasks run sequentially with the
-same merge order, which cannot change the output.
-Running out of memory, or a worker that dies (say, by the OOM killer),
-raises ResourceCapError.
+the parent runs the first task itself while each other task runs in a
+child made by ``os.fork``, which sends its pickled result back through a
+pipe; partial aggregates are merged in task order, so the result is
+bit-identical for every worker count.  Where ``fork`` is missing or fails
+(restricted sandboxes), the tasks run inline with the same merge order,
+which cannot change the output.  Forking assumes a single-threaded
+process, as the CLI is.
+Running out of memory, in the parent or in a child, or a child that dies
+(say, by the OOM killer), raises ResourceCapError.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence, TypeVar
 
 from .errors import ResourceCapError
@@ -20,39 +24,79 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def uses_pool(n_tasks: int, workers: int) -> bool:
-    """Whether run_chunks sends ``n_tasks`` tasks to a process pool."""
-    return workers > 1 and n_tasks > 1
+def forks_children(n_tasks: int, workers: int) -> bool:
+    """Whether run_chunks runs some of ``n_tasks`` tasks in forked children."""
+    return workers > 1 and n_tasks > 1 and hasattr(os, "fork")
 
 
 def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
-    """Apply a picklable top-level function to each task, in task order.
+    """Apply ``fn`` to each task and return the results in task order.
 
-    ``workers`` <= 1 runs inline; otherwise a process pool is attempted
-    and degraded to inline execution only when it cannot be created.  An
-    exception raised by ``fn`` propagates; the job is never rerun.  A
-    MemoryError or a dead worker becomes ResourceCapError.
+    ``workers`` <= 1 runs inline.  Otherwise task k runs in process
+    k mod n, n = min(workers, len(tasks)): the parent is process 0 and
+    the others are forked children; when a fork fails, the parent also
+    runs the tasks left without a child.  Results must pickle.  An
+    exception raised by ``fn`` propagates, the job is never rerun, and no
+    child outlives the call.  A MemoryError or a dead child becomes
+    ResourceCapError.
     """
     try:
-        if not uses_pool(len(tasks), workers):
+        if not forks_children(len(tasks), workers):
             return [fn(t) for t in tasks]
-        return _run_in_pool(fn, tasks, workers)
+        return _run_forked(fn, tasks, min(workers, len(tasks)))
     except MemoryError:
         raise ResourceCapError("out of memory; use a smaller set or fewer workers") from None
 
 
-def _run_in_pool(fn, tasks, workers):
-    # Imported here: inline runs need not pay for the pool machinery.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+def _run_forked(fn, tasks, n):
+    # Imported here: inline runs and set-up need not pay for them.
+    import pickle
+    import signal
+    results: list = [None] * len(tasks)
+    children = []  # (k, pid, read end of its pipe), in k order
+    reaped = 0
     try:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-    except (OSError, NotImplementedError):
-        # No semaphores or process support here (restricted sandboxes).
-        return [fn(t) for t in tasks]
-    try:
-        with pool:
-            return list(pool.map(fn, tasks))
-    except BrokenProcessPool as exc:
-        raise ResourceCapError(
-            f"a worker process died ({exc}); use a smaller set or fewer workers") from None
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # the child: never returns to the caller
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        outcome = (True, [fn(t) for t in tasks[k::n]])
+                    except Exception as exc:
+                        outcome = (False, exc)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)  # a later child must not inherit it, or EOF waits for that child
+            children.append((k, pid, open(r, "rb")))
+        for k in (0, *range(len(children) + 1, n)):
+            results[k::n] = [fn(t) for t in tasks[k::n]]
+        for k, pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code != 0:
+                how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise ResourceCapError(f"a worker process died ({how}); "
+                                       "use a smaller set or fewer workers")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[k::n] = value
+        return results
+    finally:
+        for _, pid, pipe in children[reaped:]:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

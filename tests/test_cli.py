@@ -377,6 +377,39 @@ def test_rich_points_threshold_below_two_is_input_error(tmp_path, monkeypatch, c
     assert "error: rich-point threshold must be an integer >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--values-out"])
+def test_output_in_a_missing_directory_is_refused_before_the_run(
+        tmp_path, monkeypatch, capsys, flag):
+    calls = []
+    build_lines = lines.build_lines
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_lines(*args, **kwargs)
+
+    for module in (lines, quotients):
+        monkeypatch.setattr(module, "build_lines", counted)
+    target = tmp_path / "missing" / "dir" / "v.csv"
+    code = main(["quotient", "--g", G_XY, "--set", AP3, flag, str(target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {str(target)!r}")
+    assert "Traceback" not in err
+    assert calls == []
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--values-out"])
+def test_output_that_cannot_be_written_is_input_error(tmp_path, capsys, flag):
+    # a directory: its parent exists, so only the write itself fails
+    code = main(["quotient", "--g", G_XY, "--set", AP3, flag, str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot write the output: ")
+    assert repr(str(tmp_path)) in err
+    assert "Traceback" not in err
+
+
 def test_incidences(tmp_path):
     code, report = run_cli(tmp_path, "incidences", "--g", G_X,
                            "--set", '{"kind":"arithmetic","start":0,"step":1,"size":2}',
@@ -847,15 +880,30 @@ def test_module_entry_point_subprocess():
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():
-    # set-up time: only runs with a pool import concurrent.futures, and the
-    # result types are named tuples or slotted classes, not dataclasses
+    # set-up time: only runs that fork children import pickle, no run
+    # imports concurrent.futures or multiprocessing, and the result types
+    # are named tuples or slotted classes, not dataclasses
     src = str(Path(quotlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, quotlab.cli; "
-         "print([m in sys.modules for m in ('concurrent.futures', 'dataclasses')])"],
+         "print([m in sys.modules for m in "
+         "('concurrent.futures', 'multiprocessing', 'dataclasses', 'pickle')])"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False]"
+    spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 8})
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from quotlab.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(code, [m in sys.modules for m in "
+         "('concurrent.futures', 'multiprocessing', 'pickle')])",
+         "chain", "--g", G_XY, "--set", spec, "--workers", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    # pickle is loaded: the run did fork
+    assert proc.stdout.strip().splitlines()[-1] == "0 [False, False, True]"

@@ -1,5 +1,6 @@
-import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
+import os
+import signal
+import time
 
 import pytest
 
@@ -11,72 +12,124 @@ def square(x):
     return x * x
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: runs every task in this process
-    and, like the real pool, raises a task's exception when its result is
-    read."""
+def recording(path, body):
+    """fn for run_chunks that appends each task to ``path`` (from whichever
+    process runs it), then returns ``body(task)``."""
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
+    def fn(task):
+        with open(path, "a") as fh:
+            fh.write(f"{task}\n")
+        return body(task)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        outcomes = []
-        for task in tasks:
-            try:
-                outcomes.append((fn(task), None))
-            except Exception as exc:
-                outcomes.append((None, exc))
-        for value, exc in outcomes:
-            if exc is not None:
-                raise exc
-            yield value
+    return fn
 
 
-def test_pool_that_cannot_be_created_falls_back_inline(monkeypatch):
-    def refuse(max_workers):
-        raise OSError("no semaphores")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    assert run_chunks(square, [1, 2, 3], workers=2) == [1, 4, 9]
+def calls(path):
+    return [int(line) for line in path.read_text().split()] if path.exists() else []
 
 
-def test_kernel_error_propagates_without_a_rerun(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    calls = []
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_forked_results_come_back_in_task_order(tmp_path, workers):
+    path = tmp_path / "calls"
+    tasks = list(range(1, 8))
+    assert run_chunks(recording(path, square), tasks, workers) == [t * t for t in tasks]
+    assert sorted(calls(path)) == tasks
 
-    def failing(task):
-        calls.append(task)
-        raise ValueError(f"bad task {task}")
+
+def test_tasks_run_in_forked_children():
+    parent = os.getpid()
+    pids = run_chunks(lambda task: os.getpid(), [1, 2, 3], workers=3)
+    assert pids[0] == parent
+    assert len({*pids[1:]} - {parent}) == 2
+
+
+def test_pool_that_cannot_be_created_falls_back_inline(monkeypatch, tmp_path):
+    # the pool is the forked children: os.fork fails, as in a sandbox without processes
+    def refuse():
+        raise OSError("no processes left")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    path = tmp_path / "calls"
+    parent = os.getpid()
+    pids = run_chunks(lambda task: os.getpid(), [1, 2, 3], workers=2)
+    assert pids == [parent] * 3
+    assert run_chunks(recording(path, square), [1, 2, 3], workers=2) == [1, 4, 9]
+    assert sorted(calls(path)) == [1, 2, 3]
+
+
+def test_missing_fork_runs_inline(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert run_chunks(lambda task: os.getpid(), [1, 2], workers=2) == [os.getpid()] * 2
+
+
+def wait_for_calls(path, tasks):
+    deadline = time.monotonic() + 30
+    while not set(tasks) <= set(calls(path)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_kernel_error_propagates_without_a_rerun(tmp_path):
+    # raised in a child; the parent's task waits until every child has
+    # recorded its call, so that none is stopped before it runs
+    path = tmp_path / "calls"
+    parent = os.getpid()
+
+    def body(task):
+        if os.getpid() == parent:
+            wait_for_calls(path, [2, 3])
+        if task == 2:
+            raise ValueError(f"bad task {task}")
+        return task
 
     tasks = [1, 2, 3]
+    with pytest.raises(ValueError, match="bad task 2"):
+        run_chunks(recording(path, body), tasks, workers=3)
+    assert sorted(calls(path)) == tasks
+
+
+def test_kernel_error_in_the_parent_propagates_without_a_rerun(tmp_path):
+    path = tmp_path / "calls"
+    parent = os.getpid()
+
+    def body(task):
+        if os.getpid() == parent:
+            wait_for_calls(path, [2])  # the child records its call first
+            raise ValueError(f"bad task {task}")
+        return task
+
     with pytest.raises(ValueError, match="bad task 1"):
-        run_chunks(failing, tasks, workers=2)
-    assert calls == tasks
+        run_chunks(recording(path, body), [1, 2], workers=2)
+    assert sorted(calls(path)) == [1, 2]
 
 
-class DeadWorkerPool(InlinePool):
-    """A pool whose worker was killed: reading results raises
-    BrokenProcessPool, as the real pool does after an OOM kill."""
+def test_dead_worker_is_a_resource_cap_error():
+    parent = os.getpid()
 
-    def map(self, fn, tasks):
-        raise BrokenProcessPool("a child process terminated abruptly")
+    def body(task):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return task
+
+    with pytest.raises(ResourceCapError, match="worker process died .*signal 9"):
+        run_chunks(body, [1, 2], workers=2)
 
 
-def test_dead_worker_is_a_resource_cap_error(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadWorkerPool)
-    with pytest.raises(ResourceCapError, match="worker process died"):
-        run_chunks(square, [1, 2, 3], workers=2)
+def test_memory_error_in_a_child_is_a_resource_cap_error():
+    parent = os.getpid()
+
+    def body(task):
+        if os.getpid() != parent:
+            raise MemoryError
+        return task
+
+    with pytest.raises(ResourceCapError, match="out of memory"):
+        run_chunks(body, [1, 2], workers=2)
 
 
 def test_memory_error_is_a_resource_cap_error():
     def exhausted(task):
         raise MemoryError
 
-    with pytest.raises(ResourceCapError, match="out of memory"):
-        run_chunks(exhausted, [1, 2], workers=1)
+    for workers in (1, 2):  # inline, and in the parent beside a child
+        with pytest.raises(ResourceCapError, match="out of memory"):
+            run_chunks(exhausted, [1, 2], workers=workers)
