@@ -6,11 +6,11 @@ y-axis at
     ((qx^2 - px^2) + (qy^2 - py^2)) / (2 (qy - py)),
 
 which is also the difference quotient of the quadratic
-g(x, y) = -(x^2 + y^2)/2 at the pair, so the full intercept set equals
-the quotient set of that polynomial over A.  A run reads the intercepts
-off that quotient set, one enumeration, and the grid-pair counts in
-closed form; the tests check the set against the closed form on every
-pair and against the midpoint-plus-perpendicular construction.
+g(x, y) = -(x^2 + y^2)/2 at the pair, so the full intercept set is the
+quotient set of that polynomial over A: one enumeration, with the
+grid-pair counts in closed form.  The tests check the set against the
+closed form on every pair and against the midpoint-plus-perpendicular
+construction.
 """
 
 from __future__ import annotations
@@ -30,23 +30,11 @@ def intercept_quotient_poly() -> Poly:
     return Poly(2, {(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
 
 
-class InterceptSet:
-    """Distinct bisector intercepts of the grid A x A with pair counts;
-    ``values`` is the quotient set they are read from.  Immutable."""
+class InterceptSet(QuotientSet):
+    """The distinct bisector intercepts of the grid A x A: the quotient set
+    of intercept_quotient_poly() on A, with the grid's pair counts."""
 
-    __slots__ = ("values", "grid_size", "pairs_considered", "pairs_skipped")
-
-    def __init__(self, values: QuotientSet, grid_size: int, pairs_considered: int,
-                 pairs_skipped: int):
-        for name, value in zip(self.__slots__,
-                               (values, grid_size, pairs_considered, pairs_skipped)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"InterceptSet is immutable; cannot set {name!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
+    __slots__ = ("grid_size", "pairs_considered", "pairs_skipped")
 
 
 def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
@@ -58,7 +46,8 @@ def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
     if n < 2:
         raise InputError("bisector experiment needs |A| >= 2")
     values = quotient_set(intercept_quotient_poly(), ground, workers)
-    skipped = n * comb(n, 2)
-    return InterceptSet(values=values, grid_size=n * n,
-                        pairs_considered=comb(n * n, 2) - skipped,
-                        pairs_skipped=skipped)
+    out = InterceptSet(values.keys, values.scale)
+    out.grid_size = n * n
+    out.pairs_skipped = n * comb(n, 2)
+    out.pairs_considered = comb(n * n, 2) - out.pairs_skipped
+    return out

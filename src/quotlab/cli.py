@@ -102,9 +102,7 @@ _INPUTS = {
 # (results, CSV rows); the rows are lazy and read only when the CSV is asked for.
 
 def _degeneracy(inp):
-    verdict = degeneracy_test(inp.g)
-    return {"degenerate": verdict.degenerate, "witness": verdict.witness,
-            "total_degree": inp.g.total_degree()}, None
+    return {**degeneracy_test(inp.g)._asdict(), "total_degree": inp.g.total_degree()}, None
 
 
 def _quotient(inp):
@@ -141,10 +139,8 @@ def _rich_points(inp):
 
 def _incidences(inp):
     ground = generate_set(inp.set)
-    inc = lines.incidences(inp.points, lines.build_lines(inp.g, ground, ground))
-    return {"count": inc.count, "st_reference": inc.st_reference,
-            "n_points": inc.n_points, "n_distinct_lines": inc.n_distinct_lines,
-            "total_weight": inc.total_weight}, None
+    family = lines.build_lines(inp.g, ground, ground)
+    return lines.incidences(inp.points, family)._asdict(), None
 
 
 def _exponent_scan(inp):
@@ -162,9 +158,9 @@ def _bisector(inp):
         "pairs_considered": intercepts.pairs_considered,
         "pairs_skipped": intercepts.pairs_skipped,
         "intercepts": len(intercepts),
-        # the intercepts are read as the quotient set of -(x^2 + y^2)/2
+        # the intercept set is the quotient set of -(x^2 + y^2)/2
         "quotient_crosscheck_ok": True,
-    }, reports.values_csv_rows(intercepts.values)
+    }, reports.values_csv_rows(intercepts)
 
 
 class Experiment(NamedTuple):
@@ -289,6 +285,10 @@ def _run(argv) -> int:
     for path in (output, inp.csv_out):  # refused before the run, not after it
         if path is not None and not (isinstance(path, str) and Path(path).parent.is_dir()):
             raise InputError(f"cannot write {path!r}: not a path in an existing directory")
+        if path and Path(path).is_dir():
+            raise InputError(f"cannot write the output: {path!r} is a directory")
+    if output and inp.csv_out and Path(output).resolve() == Path(inp.csv_out).resolve():
+        raise InputError(f"cannot write the output: {inp.csv_out!r} is also the report path")
     started = time.perf_counter()
     results, csv_rows = experiment.run(inp)
     try:

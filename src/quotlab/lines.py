@@ -187,10 +187,10 @@ def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultis
     return out
 
 
-def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
-    """Map y -> n(x, y) on the vertical line at x; values sum to |A||B|.
-    Each line's y * lb * lc * den(x) is an integer; only the distinct y
-    become Fractions."""
+def vertical_section(family: LineMultiset, x: Fraction) -> dict[int, int]:
+    """Map y * lb * lc * den(x) -> n(x, y) on the vertical line at x, an
+    integer key per distinct y (lb, lc of ``family.table``); values sum
+    to |A||B|."""
     sb, lb, sc_lists, mult_lists, lc, _xscale = family.table
     p, q = x.numerator, x.denominator
     counts: dict[int, int] = {}
@@ -199,8 +199,7 @@ def vertical_section(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
         for c, m in zip(cs, ms):
             y = base + c * f
             counts[y] = counts.get(y, 0) + m
-    den = lb * lc * q
-    return {Fraction(y, den): n for y, n in counts.items()}
+    return counts
 
 
 # -- the slope-pair walk ----------------------------------------------------

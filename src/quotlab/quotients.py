@@ -213,9 +213,9 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
 
     The family is built once, from |A|^2 integer evaluations of g, and
     build_lines anchors them to g's own evaluation at sampled pairs.  Its
-    Fractions are never built: the vertical sections are read off the
-    integer table, and only the three sampled abscissas, the distinct y of
-    their sections and size_bound_limit become Fractions.
+    Fractions are never built: the vertical sections are integer maps read
+    off the integer table, and only the three sampled abscissas and
+    size_bound_limit become Fractions.
 
     X is read off as -support(Q), so size_x = |support(Q)|; the
     ``sign_bridge`` link records that reading.  That the set kernel of

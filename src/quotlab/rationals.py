@@ -11,7 +11,8 @@ enumeration loops use no Fractions: they run on integers over one common
 denominator (much less overhead than Fraction objects), and a result
 becomes Fractions only when its values are read.  ``format_key`` writes
 such an integer key in the text form directly, with one gcd and no
-Fraction, which is how every CSV is written.
+Fraction, which is how every CSV is written; ``format_rational`` writes a
+Fraction through it.
 """
 
 from __future__ import annotations
@@ -37,21 +38,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value: Fraction) -> str:
-    """Text form "p/q", or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def format_key(key: int, scale: tuple[int, int]) -> str:
-    """The text form of key * num / den, ``scale`` = (num, den) with den > 0,
-    as format_rational writes it."""
+    """The text form "p/q", or "p" when q is 1, of key * num / den in
+    lowest terms, ``scale`` = (num, den) with den > 0."""
     num, den = scale
     p = key * num
     common = gcd(p, den)
     p, q = p // common, den // common
     return str(p) if q == 1 else f"{p}/{q}"
+
+
+def format_rational(value: Fraction) -> str:
+    """The text form of a Fraction."""
+    return format_key(value.numerator, (1, value.denominator))
 
 
 def as_rational(value) -> Fraction:

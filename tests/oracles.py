@@ -5,7 +5,8 @@ geometrically, or long-divides polynomials held as plain exponent dicts,
 with Fraction arithmetic and no shared code with the production kernels,
 so a match is meaningful.  Only usable at small |A| (quartic loops).
 energy_restricted reads quotlab's vertical sections, which the tests
-check against brute_vertical_section, and nothing of the sweep.
+check, keyed by y through section_by_y, against brute_vertical_section,
+and nothing of the sweep.
 family_of builds a family from hand-made Fraction lines, the reference
 that build_lines, which evaluates g in integers, is compared against; it
 shares only the LineMultiset constructor, which sorts the columns.
@@ -104,6 +105,14 @@ def brute_vertical_section(g: Poly, ground_a: GroundSet, ground_b: GroundSet,
         y = slope * x + intercept
         section[y] = section.get(y, 0) + 1
     return section
+
+
+def section_by_y(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
+    """vertical_section(family, x) keyed by y: each integer key divided by
+    lb * lc * den(x)."""
+    _sb, lb, _sc, _mults, lc, _xscale = family.table
+    den = lb * lc * x.denominator
+    return {Fraction(y, den): n for y, n in vertical_section(family, x).items()}
 
 
 def brute_energy(g: Poly, ground_a: GroundSet, ground_b: GroundSet,

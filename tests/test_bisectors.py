@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotlab.bisectors import bisector_intercept_set
+from quotlab.bisectors import bisector_intercept_set, intercept_quotient_poly
 from quotlab.errors import InputError
 from quotlab.polynomials import Poly
-from quotlab.quotients import quotient_set
+from quotlab.quotients import QuotientSet, quotient_set
 from quotlab.sets import GroundSet
 
 from oracles import (brute_bisector_intercepts, brute_grid_pair_counts,
@@ -96,6 +96,17 @@ def test_intercept_set_workers_equivalent():
         assert base.values == multi.values
         assert base.pairs_considered == multi.pairs_considered
         assert base.pairs_skipped == multi.pairs_skipped
+
+
+def test_intercept_set_is_the_quotient_set_of_the_quadratic():
+    ground = GroundSet.of(-2, frac(1, 3), 1, 4, 9)
+    expected = quotient_set(intercept_quotient_poly(), ground)
+    for workers in (1, 2, 3):
+        intercepts = bisector_intercept_set(ground, workers=workers)
+        assert isinstance(intercepts, QuotientSet)
+        assert intercepts == expected
+        assert len(intercepts) == len(expected) == len(set(intercepts))
+        assert list(intercepts) == list(expected.values)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -147,6 +147,7 @@ def test_energy_check_catches_a_mass_preserving_section_defect(tmp_path, monkeyp
 
     def moves_one_unit(family, x):
         out = section(family, x)
+        assert all(type(y) is int for y in out)  # y keyed by y * lb * lc * den(x)
         calls.append(x)
         if len(calls) == 1:
             # the mass |A|^2 is unchanged; sum n^2 rises by 2(b - a) + 2 > 0
@@ -355,6 +356,17 @@ def test_chain_reads_out_only_the_sampled_abscissas(tmp_path, monkeypatch):
     assert built[-1] == Fraction(results["size_bound_limit"])
 
 
+def test_chain_builds_no_fraction_in_lines(tmp_path, monkeypatch):
+    # the vertical sections key y by integers; the Fraction lines stay unbuilt
+    built = count_fractions(monkeypatch, lines)
+    spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 6})
+    code, report = run_cli(tmp_path, "chain", "--g", G_X2_PLUS_Y, "--set", spec,
+                           "--workers", "1", "--histogram-out", str(tmp_path / "hist.csv"))
+    assert code == 0
+    assert report["results"]["links"]["vertical_mass_samples"] == 3
+    assert built == []
+
+
 def test_rich_points_threshold_below_two_is_input_error(tmp_path, monkeypatch, capsys):
     # refused before the family is built and swept, not after
     calls = []
@@ -399,9 +411,34 @@ def test_output_in_a_missing_directory_is_refused_before_the_run(
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--histogram-out"])
+def test_output_that_names_a_directory_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                                 capsys, flag):
+    calls = count_kernel_calls(monkeypatch)
+    code = main(["chain", "--g", G_XY, "--set", AP3, "--workers", "1", flag, str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: cannot write the output: {str(tmp_path)!r} is a directory\n"
+    assert calls == {"histogram": 0, "quotient": 0, "sweep": 0}
+
+
+def test_csv_at_the_report_path_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    calls = count_kernel_calls(monkeypatch)
+    target = tmp_path / "out.json"
+    # the same file through a second spelling of its path
+    code = main(["chain", "--g", G_XY, "--set", AP3, "--workers", "1",
+                 "--histogram-out", str(tmp_path / "." / "out.json"), "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot write the output: ")
+    assert "is also the report path" in err
+    assert calls == {"histogram": 0, "quotient": 0, "sweep": 0}
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--values-out"])
 def test_output_that_cannot_be_written_is_input_error(tmp_path, capsys, flag):
-    # a directory: its parent exists, so only the write itself fails
+    # a directory: refused by name, before the run
     code = main(["quotient", "--g", G_XY, "--set", AP3, flag, str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -734,8 +771,9 @@ def test_vertical_section_that_loses_mass_exits_four(tmp_path, monkeypatch, caps
 
     def drops_one_unit(family, x):
         out = section(family, x)
+        assert all(type(y) is int for y in out)  # y keyed by y * lb * lc * den(x)
         calls.append(x)
-        out[next(iter(out))] -= 1
+        out[min(out)] -= 1
         return out
 
     monkeypatch.setattr(quotients, "vertical_section", drops_one_unit)
@@ -877,6 +915,25 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["degenerate"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--g", G_X2_PLUS_Y, "--set", AP3, "--workers", "2", "--histogram-out"],
+    ["bisector", "--set", AP3, "--intercepts-out"],
+], ids=["chain", "bisector"])
+def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv):
+    # perfbench/tracer.py wraps functions of src by name: a rename breaks it
+    src = Path(quotlab.__file__).resolve().parent.parent
+    tracer = src.parent / "perfbench" / "tracer.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(tracer), str(spans), *argv, str(tmp_path / "out.csv"),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():

@@ -19,7 +19,7 @@ from quotlab.sets import GroundSet
 
 from oracles import (brute_energy, brute_incidences, brute_intersection_points,
                      brute_vertical_section, energy_restricted, family_of, instance_lines,
-                     point_rows, random_ground_set, random_polynomial)
+                     point_rows, random_ground_set, random_polynomial, section_by_y)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -85,13 +85,20 @@ def test_build_lines_collapsing_slope_reports_multiplicity():
 # -- vertical sections --------------------------------------------------------
 
 def test_vertical_section_at_zero():
-    section = vertical_section(build_lines(G_X, A01, A01), frac(0))
+    section = section_by_y(build_lines(G_X, A01, A01), frac(0))
     assert section == {frac(0): 2, frac(-1): 2}
 
 
 def test_vertical_section_at_one():
-    section = vertical_section(build_lines(G_X, A01, A01), frac(1))
+    section = section_by_y(build_lines(G_X, A01, A01), frac(1))
     assert section == {frac(0): 2, frac(1): 1, frac(-1): 1}
+
+
+def test_vertical_section_keys_y_by_integers():
+    # g = x on {0, 1}: lb = lc = 1, so at x = 1/2 the key of y is 2y
+    section = vertical_section(build_lines(G_X, A01, A01), frac(1, 2))
+    assert section == {0: 1, -2: 1, 1: 1, -1: 1}
+    assert all(type(key) is int for key in section)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -104,9 +111,8 @@ def test_vertical_mass_conservation(seed):
     family = build_lines(g, ground_a, ground_b)
     for _ in range(3):
         x = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-        section = vertical_section(family, x)
-        assert sum(section.values()) == len(ground_a) * len(ground_b)
-        assert section == brute_vertical_section(g, ground_a, ground_b, x)
+        assert sum(vertical_section(family, x).values()) == len(ground_a) * len(ground_b)
+        assert section_by_y(family, x) == brute_vertical_section(g, ground_a, ground_b, x)
 
 
 # -- intersection enumeration -------------------------------------------------

@@ -76,6 +76,13 @@ def test_format_key_writes_the_text_of_the_fraction(key, num, den):
     assert format_key(key, (num, den)) == format_rational(Fraction(key * num, den))
 
 
+@given(st.fractions(), st.integers(1, 10 ** 6))
+def test_format_rational_and_format_key_write_the_same_text(value, k):
+    # str(Fraction) writes "p/q", or "p" when q is 1, independently of quotlab
+    text = format_key(value.numerator * k, (1, value.denominator * k))
+    assert format_rational(value) == text == str(value)
+
+
 def test_parse_format_round_trip():
     for text in ["0", "7", "-7", "22/7", "-22/7"]:
         assert format_rational(parse_rational(text)) == text
