@@ -283,7 +283,7 @@ def _run(argv) -> int:
     inp = _resolve(config, experiment, args)
     output = config.get("output")
     for path in (output, inp.csv_out):  # refused before the run, not after it
-        if path is not None and not (isinstance(path, str) and Path(path).parent.is_dir()):
+        if path is not None and not (path and type(path) is str and Path(path).parent.is_dir()):
             raise InputError(f"cannot write {path!r}: not a path in an existing directory")
         if path and Path(path).is_dir():
             raise InputError(f"cannot write the output: {path!r} is a directory")

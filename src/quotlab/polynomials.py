@@ -122,7 +122,7 @@ def bivariate_from_terms(entries) -> Poly:
         if not isinstance(entry, dict) or set(entry) != {"c", "i", "j"}:
             raise InputError(f"bad polynomial term: {entry!r}")
         i, j = entry["i"], entry["j"]
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if type(i) is not int or type(j) is not int or i < 0 or j < 0:
             raise InputError(f"term exponents must be nonnegative integers: {entry!r}")
         if (i, j) in terms:
             raise InputError(f"duplicate term for exponents ({i}, {j})")

@@ -13,21 +13,21 @@ Both are read off one walk over the slope-class pairs of the line family
 The walk collects the family's integer abscissa keys with no gcd:
 quotient_set keeps the distinct ones, and X is their negation; the
 histogram counts them.  QuotientSet and QuadrupleHistogram hold the keys
-and the family's key_scale; a value becomes a Fraction only when it is
-read (key_value), so a run that reports |X| alone builds none, and the
-CSVs are written from the keys (reports.py).  verify_chain builds the
-family once, reads X off as -support(Q), and compares Q key by key with
-the lowest-slope-line sweep of lines.py, a second enumeration that groups
-the same crossings per line.
+and the family's key_scale, and nothing else: their one read-out is the
+text rows that reports.py writes from the keys, so no value becomes a
+Fraction.  verify_chain builds the family once, reads X off as
+-support(Q), and compares Q key by key with the lowest-slope-line sweep
+of lines.py, a second enumeration that groups the same crossings per
+line; it reads keys as Fractions (key_value) only at its three sampled
+abscissas.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
 from .lines import (LineMultiset, build_lines, crossing_pair_count, crossing_weights,
@@ -45,37 +45,17 @@ def key_value(key: int, scale: tuple[int, int]) -> Fraction:
 
 class QuotientSet:
     """Distinct quotient values, denominator convention b2 - b1: the
-    negated abscissa keys of a family under its key_scale.  ``values``,
-    ascending, is built on first use; ``len`` reads the keys."""
+    negated abscissa keys of a family under its key_scale.  The values
+    are read out as text rows (reports.values_csv_rows)."""
 
-    __slots__ = ("keys", "scale", "_values")
+    __slots__ = ("keys", "scale")
 
     def __init__(self, keys: set[int], scale: tuple[int, int]):
         self.keys = keys
         self.scale = scale
-        self._values = None
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        if self._values is None:
-            # keys ascend with x, so descending keys give ascending values -x
-            self._values = tuple(key_value(-k, self.scale)
-                                 for k in sorted(self.keys, reverse=True))
-        return self._values
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __contains__(self, value) -> bool:
-        values = self.values
-        i = bisect_left(values, value)
-        return i < len(values) and values[i] == value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuotientSet) and self.values == other.values
 
     def __repr__(self) -> str:
         return f"QuotientSet(size={len(self)})"
@@ -86,33 +66,18 @@ class QuadrupleHistogram:
 
     ``pairs_by_key``: Q(x)/2 under the family's integer abscissa keys (see
     lines.py), the walk's own Counter, its keys in merge order; the chain
-    compares it with the sweep.  ``counts`` (x -> Q(x), ascending in x) and
-    ``support`` are built on first use."""
+    compares it with the sweep.  The counts are read out as text rows
+    (reports.histogram_csv_rows)."""
 
-    __slots__ = ("pairs_by_key", "scale", "_counts")
+    __slots__ = ("pairs_by_key", "scale")
 
     def __init__(self, pairs_by_key: Counter, scale: tuple[int, int]):
         self.pairs_by_key = pairs_by_key
         self.scale = scale
-        self._counts = None
-
-    @property
-    def counts(self) -> dict[Fraction, int]:
-        if self._counts is None:
-            pairs = self.pairs_by_key
-            self._counts = {key_value(k, self.scale): 2 * pairs[k] for k in sorted(pairs)}
-        return self._counts
-
-    @property
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(self.counts)
 
     @property
     def total(self) -> int:
         return 2 * sum(self.pairs_by_key.values())
-
-    def __getitem__(self, x: Fraction) -> int:
-        return self.counts.get(x, 0)
 
     def __len__(self) -> int:
         return len(self.pairs_by_key)

@@ -1,18 +1,19 @@
 """Exact rational scalars in canonical form.
 
-Every scalar quotlab takes or returns is a ``fractions.Fraction``:
-arbitrary precision, reduced eagerly on construction, with denominator > 0
-and zero stored as 0/1.  That makes equality structural, so returned
-rationals serve directly as sort keys and dict/set keys.
+Every scalar quotlab takes is a ``fractions.Fraction``: arbitrary
+precision, reduced eagerly on construction, with denominator > 0 and zero
+stored as 0/1.  That makes equality structural, so rationals serve
+directly as sort keys and dict/set keys.
 
 The module adds the strict text form used by config and report files
 ("p/q", or "p" when the denominator is 1).  The hot
 enumeration loops use no Fractions: they run on integers over one common
-denominator (much less overhead than Fraction objects), and a result
-becomes Fractions only when its values are read.  ``format_key`` writes
-such an integer key in the text form directly, with one gcd and no
-Fraction, which is how every CSV is written; ``format_rational`` writes a
-Fraction through it.
+denominator (much less overhead than Fraction objects), and the quotient
+set and the histogram keep those integer keys.  ``format_key`` writes
+such a key in the text form directly, with one gcd and no Fraction, which
+is how every CSV and the listed quotient values are written; it is the
+one read-out of those results.  ``format_rational`` writes a Fraction
+through it.
 """
 
 from __future__ import annotations

@@ -22,18 +22,15 @@ TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 
-def build_report(experiment: str, config: dict, results: dict,
-                 elapsed_s: float | None = None) -> dict:
-    report = {
+def build_report(experiment: str, config: dict, results: dict, elapsed_s: float) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "experiment": experiment,
         "config": config,
         "results": results,
+        "timing": {"elapsed_s": elapsed_s},
     }
-    if elapsed_s is not None:
-        report["timing"] = {"elapsed_s": elapsed_s}
-    return report
 
 
 def dump_report(report: dict) -> str:

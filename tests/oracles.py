@@ -10,6 +10,9 @@ and nothing of the sweep.
 family_of builds a family from hand-made Fraction lines, the reference
 that build_lines, which evaluates g in integers, is compared against; it
 shares only the LineMultiset constructor, which sorts the columns.
+value_rows and histogram_rows read a result the way a user does: they
+parse the CSV rows that reports.py writes, so the oracles check the text
+the CLI writes.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from quotlab.errors import InputError
 from quotlab.lines import Line, LineMultiset, vertical_section
 from quotlab.polynomials import Poly
 from quotlab.rationals import format_rational
+from quotlab.reports import histogram_csv_rows, values_csv_rows
 from quotlab.sets import GroundSet
 
 
@@ -151,6 +155,16 @@ def point_rows(weights: dict[tuple[Fraction, Fraction], int]) -> list[tuple]:
     rationals, sorted by (x, y)."""
     return [(format_rational(x), format_rational(y), n)
             for (x, y), n in sorted(weights.items())]
+
+
+def value_rows(xs) -> list[Fraction]:
+    """The values of a QuotientSet, in the order of its values CSV."""
+    return [Fraction(t) for t, in values_csv_rows(xs)]
+
+
+def histogram_rows(hist) -> dict[Fraction, int]:
+    """x -> Q(x) of a QuadrupleHistogram, in the order of its CSV."""
+    return {Fraction(x): q for x, q in histogram_csv_rows(hist)}
 
 
 def brute_point_lines(g: Poly, ground_a: GroundSet,

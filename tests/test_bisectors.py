@@ -9,11 +9,12 @@ from quotlab.bisectors import bisector_intercept_set, intercept_quotient_poly
 from quotlab.errors import InputError
 from quotlab.polynomials import Poly
 from quotlab.quotients import QuotientSet, quotient_set
+from quotlab.reports import values_csv_rows
 from quotlab.sets import GroundSet
 
 from oracles import (brute_bisector_intercepts, brute_grid_pair_counts,
                      bisector_y_intercept, constructed_bisector_intercepts,
-                     random_ground_set)
+                     random_ground_set, value_rows)
 
 
 def frac(p, q=1):
@@ -72,8 +73,8 @@ def test_intercept_set_minimal_case():
     for ground in (GroundSet.of(0, 1), GroundSet.of(-3, 7),
                    GroundSet.of(frac(1, 3), frac(-5, 2))):
         intercepts = bisector_intercept_set(ground)
-        assert set(intercepts.values) == brute_bisector_intercepts(ground)
-        assert set(intercepts.values) == constructed_bisector_intercepts(ground)
+        assert set(value_rows(intercepts)) == brute_bisector_intercepts(ground)
+        assert set(value_rows(intercepts)) == constructed_bisector_intercepts(ground)
         assert intercepts.grid_size == 4
         # unordered pairs of 4 grid points: 6, of which 2 share a y-coordinate
         assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
@@ -93,7 +94,7 @@ def test_intercept_set_workers_equivalent():
     assert base.pairs_considered + base.pairs_skipped == 300
     for workers in (2, 3, 4, 7):
         multi = bisector_intercept_set(ground, workers=workers)
-        assert base.values == multi.values
+        assert (base.keys, base.scale) == (multi.keys, multi.scale)
         assert base.pairs_considered == multi.pairs_considered
         assert base.pairs_skipped == multi.pairs_skipped
 
@@ -104,9 +105,9 @@ def test_intercept_set_is_the_quotient_set_of_the_quadratic():
     for workers in (1, 2, 3):
         intercepts = bisector_intercept_set(ground, workers=workers)
         assert isinstance(intercepts, QuotientSet)
-        assert intercepts == expected
-        assert len(intercepts) == len(expected) == len(set(intercepts))
-        assert list(intercepts) == list(expected.values)
+        assert (intercepts.keys, intercepts.scale) == (expected.keys, expected.scale)
+        assert len(intercepts) == len(expected) == len(set(value_rows(intercepts)))
+        assert list(values_csv_rows(intercepts)) == list(values_csv_rows(expected))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -115,8 +116,8 @@ def test_intercept_set_matches_brute_force(seed):
     rng = random.Random(seed)
     ground = random_ground_set(rng, rng.randint(2, 5), rational=bool(seed % 2))
     intercepts = bisector_intercept_set(ground)
-    assert set(intercepts.values) == brute_bisector_intercepts(ground)
-    assert set(intercepts.values) == constructed_bisector_intercepts(ground)
+    assert value_rows(intercepts) == sorted(brute_bisector_intercepts(ground))
+    assert set(value_rows(intercepts)) == constructed_bisector_intercepts(ground)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -137,7 +138,7 @@ def test_sign_flipped_quadratic_does_not_reproduce_intercepts():
     ground = GroundSet.of(0, 1, 3)
     wrong = Poly(2, {(2, 0): frac(-2), (0, 2): frac(2)})
     intercepts = bisector_intercept_set(ground)
-    assert set(quotient_set(wrong, ground)) != set(intercepts.values)
+    assert set(value_rows(quotient_set(wrong, ground))) != set(value_rows(intercepts))
 
 
 def test_growth_trend_on_progressions():

@@ -389,9 +389,12 @@ def test_rich_points_threshold_below_two_is_input_error(tmp_path, monkeypatch, c
     assert "error: rich-point threshold must be an integer >= 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--out", "--values-out"])
+@pytest.mark.parametrize("flag, missing", [
+    ("--out", True), ("--values-out", True), ("--out", False), ("--values-out", False),
+], ids=["--out", "--values-out", "--out-empty", "--values-out-empty"])
 def test_output_in_a_missing_directory_is_refused_before_the_run(
-        tmp_path, monkeypatch, capsys, flag):
+        tmp_path, monkeypatch, capsys, flag, missing):
+    # an empty path names no file: refused too, not read as "no output"
     calls = []
     build_lines = lines.build_lines
 
@@ -401,14 +404,15 @@ def test_output_in_a_missing_directory_is_refused_before_the_run(
 
     for module in (lines, quotients):
         monkeypatch.setattr(module, "build_lines", counted)
-    target = tmp_path / "missing" / "dir" / "v.csv"
-    code = main(["quotient", "--g", G_XY, "--set", AP3, flag, str(target)])
-    err = capsys.readouterr().err
+    target = str(tmp_path / "missing" / "dir" / "v.csv") if missing else ""
+    code = main(["quotient", "--g", G_XY, "--set", AP3, flag, target])
+    out, err = capsys.readouterr()
     assert code == 1
-    assert err.startswith(f"error: cannot write {str(target)!r}")
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target!r}: not a path in an existing directory")
     assert "Traceback" not in err
     assert calls == []
-    assert not target.parent.exists()
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--histogram-out"])
@@ -607,8 +611,13 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
                           "seed": 1}}, [], "uniform-random-integer needs 'range': [lo, hi]"),
     ("quotient", {"set": {"kind": "uniform-random-integer", "range": [1, 9], "size": 4,
                           "seed": True}}, [], "seed must be an integer"),
+    ("quotient", {}, ["--g", '[{"c":"1","i":true,"j":1}]'],
+     "term exponents must be nonnegative integers: {'c': '1', 'i': True, 'j': 1}"),
+    ("quotient", {"g": [{"c": "1", "i": 1, "j": False}]}, [],
+     "term exponents must be nonnegative integers: {'c': '1', 'i': 1, 'j': False}"),
 ], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool", "seed-string",
-        "allow-degenerate-string", "set-size-bool", "set-range-bool", "set-seed-bool"])
+        "allow-degenerate-string", "set-size-bool", "set-range-bool", "set-seed-bool",
+        "g-exponent-true", "g-exponent-false"])
 def test_malformed_typed_field_is_input_error(tmp_path, capsys, experiment, fields, flags,
                                               message):
     config = tmp_path / "config.json"
@@ -890,6 +899,18 @@ def test_reports_deterministic_across_workers_and_reruns(tmp_path):
     _, r3 = run_cli(tmp_path, *args, "--workers", "1")
     key = lambda rep: json.dumps(rep["results"], sort_keys=True)
     assert key(r1) == key(r2) == key(r3)
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_committed_configs_run(tmp_path, config):
+    experiment = json.loads(config.read_text())["experiment"]
+    code, report = run_cli(tmp_path, experiment, "--config", str(config))
+    assert code == 0
+    assert report["experiment"] == experiment
+    assert report["results"]
 
 
 def test_stdout_report_when_no_out(capsys):

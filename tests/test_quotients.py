@@ -14,10 +14,11 @@ from quotlab.lines import build_lines
 from quotlab.polynomials import Poly
 from quotlab.quotients import (exponent_scan, fit_loglog_slope,
                                quadruple_histogram, quotient_set, verify_chain)
+from quotlab.reports import histogram_csv_rows, values_csv_rows
 from quotlab.sets import GroundSet, SetSpec
 
-from oracles import (brute_quadruple_histogram, brute_quotient_set,
-                     random_ground_set, random_polynomial)
+from oracles import (brute_quadruple_histogram, brute_quotient_set, histogram_rows,
+                     random_ground_set, random_polynomial, value_rows)
 
 G_X = Poly(2, {(1, 0): Fraction(1)})
 G_Y2 = Poly(2, {(0, 2): Fraction(1)})
@@ -38,19 +39,34 @@ def histogram(g, ground, workers=1):
     return quadruple_histogram(build_lines(g, ground, ground), workers=workers)
 
 
+def same_set(a, b):
+    return a.keys == b.keys and a.scale == b.scale
+
+
+def same_histogram(a, b):
+    return a.pairs_by_key == b.pairs_by_key and a.scale == b.scale
+
+
+def key_of(x, scale):
+    """The integer key k with x = k * num / den, ``scale`` = (num, den), or
+    None when x has none."""
+    num, den = scale
+    k = x * den / num
+    return k.numerator if k.denominator == 1 else None
+
+
 # -- quotient sets -----------------------------------------------------------
 
 def test_quotient_set_collapsed_quadratic():
     xs = quotient_set(G_Y2, interval(1, 2, 3))
-    assert list(xs) == [frac(-5), frac(-4), frac(-3)]
+    assert value_rows(xs) == [frac(-5), frac(-4), frac(-3)]
 
 
 def test_quotient_set_difference_ratio_example():
     xs = quotient_set(G_X, interval(1, 2, 3))
-    assert list(xs) == [frac(-2), frac(-1), frac(-1, 2), frac(0),
-                        frac(1, 2), frac(1), frac(2)]
+    assert list(values_csv_rows(xs)) == [("-2",), ("-1",), ("-1/2",), ("0",),
+                                         ("1/2",), ("1",), ("2",)]
     assert len(xs) == 7
-    assert frac(-1, 2) in xs and frac(1, 3) not in xs and frac(3) not in xs
 
 
 def test_quotient_set_singleton_is_empty():
@@ -59,7 +75,7 @@ def test_quotient_set_singleton_is_empty():
 
 def test_quotient_set_rational_ground_set():
     ground = interval("1/2", "1/3", "-2")
-    assert set(quotient_set(G_XY, ground)) == brute_quotient_set(G_XY, ground)
+    assert value_rows(quotient_set(G_XY, ground)) == sorted(brute_quotient_set(G_XY, ground))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -68,7 +84,7 @@ def test_quotient_set_matches_brute_force(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng, require_x=False)
     ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
-    assert quotient_set(g, ground).values == tuple(sorted(brute_quotient_set(g, ground)))
+    assert value_rows(quotient_set(g, ground)) == sorted(brute_quotient_set(g, ground))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -78,7 +94,7 @@ def test_quotient_set_monotone_under_inclusion(seed):
     g = random_polynomial(rng)
     big = random_ground_set(rng, 6)
     small = GroundSet(list(big)[:4])
-    assert set(quotient_set(g, small)) <= set(quotient_set(g, big))
+    assert set(value_rows(quotient_set(g, small))) <= set(value_rows(quotient_set(g, big)))
 
 
 ORDER_FAMILIES = {
@@ -99,14 +115,14 @@ ORDER_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(ORDER_FAMILIES))
 def test_quotient_set_values_ascend(name):
     g, ground = ORDER_FAMILIES[name]
-    expected = tuple(sorted(brute_quotient_set(g, ground)))
-    assert expected != tuple(sorted(-x for x in expected))  # a sign flip shows
+    expected = sorted(brute_quotient_set(g, ground))
+    assert expected != sorted(-x for x in expected)  # a sign flip shows
     for workers in (1, 2, 3):
-        assert quotient_set(g, ground, workers=workers).values == expected
+        assert value_rows(quotient_set(g, ground, workers=workers)) == expected
 
 
 # big-m is left out: its brute-force histogram alone takes seconds, and
-# test_quotient_set_values_ascend reads its values first already
+# test_quotient_set_values_ascend reads its values already
 FIRST_USE_FAMILIES = {**{name: family for name, family in ORDER_FAMILIES.items()
                          if name != "big-m"},
                       "singleton": (G_XY, interval(3))}
@@ -127,25 +143,34 @@ def non_members(ascending):
     return [ascending[0] - 1, ascending[-1] + 1, *gaps]
 
 
-# Each check makes the first use of ``xs``, a fresh result; ``fresh()``
-# makes another.
+# Each check reads ``xs``, a fresh result, one way; ``fresh()`` makes
+# another.  "in" and "getitem" look values up among the integer keys,
+# "iter" and "support" compare the CSV text with str() of the oracle's
+# Fractions, and "values" and "counts" parse the CSV rows.
 QUOTIENT_FIRST_USES = {
     "len": lambda xs, fresh, expected: len(xs) == len(expected),
-    "in": lambda xs, fresh, expected: (all(v in xs for v in expected)
-                                       and not any(v in xs for v in non_members(expected))),
-    "==": lambda xs, fresh, expected: (xs == fresh()
-                                       and (xs == quotient_set(G_X, interval(1))) == (not expected)),
-    "iter": lambda xs, fresh, expected: tuple(xs) == expected,
-    "values": lambda xs, fresh, expected: xs.values == expected,
+    # x is in X when -x has an integer key among xs.keys
+    "in": lambda xs, fresh, expected: (
+        all(key_of(-v, xs.scale) in xs.keys for v in expected)
+        and not any(key_of(-v, xs.scale) in xs.keys for v in non_members(expected))),
+    "==": lambda xs, fresh, expected: (same_set(xs, fresh())
+                                       and same_set(xs, quotient_set(G_X, interval(1)))
+                                       == (not expected)),
+    "iter": lambda xs, fresh, expected: list(values_csv_rows(xs)) == [(str(v),) for v in expected],
+    "values": lambda xs, fresh, expected: value_rows(xs) == list(expected),
 }
 
 HISTOGRAM_FIRST_USES = {
     "len": lambda hist, expected: len(hist) == len(expected),
     "total": lambda hist, expected: hist.total == sum(expected.values()),
-    "support": lambda hist, expected: hist.support == tuple(expected),
-    "counts": lambda hist, expected: list(hist.counts.items()) == list(expected.items()),
-    "getitem": lambda hist, expected: (all(hist[x] == q for x, q in expected.items())
-                                       and all(hist[x] == 0 for x in non_members(tuple(expected)))),
+    "support": lambda hist, expected: ([x for x, _ in histogram_csv_rows(hist)]
+                                       == [str(x) for x in expected]),
+    "counts": lambda hist, expected: list(histogram_rows(hist).items()) == list(expected.items()),
+    # Q(x) is twice the pair count at the key of x, and 0 where x has no key
+    "getitem": lambda hist, expected: (
+        all(2 * hist.pairs_by_key[key_of(x, hist.scale)] == q for x, q in expected.items())
+        and not any(key_of(x, hist.scale) in hist.pairs_by_key
+                    for x in non_members(tuple(expected)))),
 }
 
 
@@ -154,7 +179,7 @@ HISTOGRAM_FIRST_USES = {
 def test_quotient_set_first_use_matches_brute_force(name, use):
     g, ground = FIRST_USE_FAMILIES[name]
     expected, _ = brute_first_use(name)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         def fresh():
             return quotient_set(g, ground, workers=workers)
         assert QUOTIENT_FIRST_USES[use](fresh(), fresh, expected)
@@ -165,28 +190,28 @@ def test_quotient_set_first_use_matches_brute_force(name, use):
 def test_histogram_first_use_matches_brute_force(name, use):
     g, ground = FIRST_USE_FAMILIES[name]
     _, expected = brute_first_use(name)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         assert HISTOGRAM_FIRST_USES[use](histogram(g, ground, workers=workers), expected)
 
 
 def test_quotient_set_workers_equivalent():
     ground = interval(*range(1, 9))
     base = quotient_set(G_XY, ground, workers=1)
-    assert quotient_set(G_XY, ground, workers=3) == base
-    assert quotient_set(G_XY, ground, workers=8) == base
+    assert same_set(quotient_set(G_XY, ground, workers=3), base)
+    assert same_set(quotient_set(G_XY, ground, workers=8), base)
 
 
 # -- quadruple histogram -------------------------------------------------------
 
 def test_histogram_worked_example():
     hist = histogram(G_X, interval(0, 1))
-    assert hist.counts == {frac(-1): 2, frac(0): 4, frac(1): 2}
+    assert list(histogram_csv_rows(hist)) == [("-1", 2), ("0", 4), ("1", 2)]
     assert hist.total == 8
 
 
 def test_histogram_collapsed_quadratic():
     hist = histogram(G_Y2, interval(1, 2))
-    assert hist.counts == {frac(3): 8}
+    assert histogram_rows(hist) == {frac(3): 8}
 
 
 def test_histogram_singleton_empty():
@@ -199,7 +224,7 @@ def test_histogram_matches_brute_force(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng, require_x=False)
     ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
-    assert histogram(g, ground).counts == brute_quadruple_histogram(g, ground)
+    assert histogram_rows(histogram(g, ground)) == brute_quadruple_histogram(g, ground)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -211,7 +236,8 @@ def test_histogram_conservation_and_bridge(seed):
     hist = histogram(g, ground)
     n = len(ground)
     assert hist.total == n ** 3 * (n - 1)
-    assert {-x for x in hist.support} == set(quotient_set(g, ground))
+    # rows ascend in x, so -x descends
+    assert [-x for x in histogram_rows(hist)][::-1] == value_rows(quotient_set(g, ground))
 
 
 def test_histogram_with_repeated_lines_matches_brute_force():
@@ -222,14 +248,14 @@ def test_histogram_with_repeated_lines_matches_brute_force():
     assert family.max_multiplicity == 2
     assert min(Counter(line.slope for line in family.lines).values()) >= 2
     expected = brute_quadruple_histogram(g, ground)
-    assert quadruple_histogram(family).counts == expected
-    assert quadruple_histogram(family, workers=3).counts == expected
+    assert histogram_rows(quadruple_histogram(family)) == expected
+    assert histogram_rows(quadruple_histogram(family, workers=3)) == expected
 
 
 def test_histogram_workers_equivalent():
     ground = interval(*range(1, 8))
     base = histogram(G_XY, ground, workers=1)
-    assert histogram(G_XY, ground, workers=4).counts == base.counts
+    assert same_histogram(histogram(G_XY, ground, workers=4), base)
 
 
 # -- verification chain ---------------------------------------------------------
@@ -270,7 +296,7 @@ def test_chain_zero_in_support_handling():
     report = verify_chain(G_X, ground)
     assert report.zero_in_support
     hist = histogram(G_X, ground)
-    drop = hist[frac(0)] + report.squared_multiplicity_total
+    drop = histogram_rows(hist)[frac(0)] + report.squared_multiplicity_total
     assert report.energy_support_excl_zero == report.energy_support - drop
 
 
@@ -291,7 +317,7 @@ def test_chain_links_hold_on_random_instances(seed):
     report = verify_chain(g, ground)
     assert all(report.links.values())
     assert report.size_x == len(brute_quotient_set(g, ground))
-    assert report.histogram.counts == brute_quadruple_histogram(g, ground)
+    assert histogram_rows(report.histogram) == brute_quadruple_histogram(g, ground)
 
 
 def test_chain_workers_equivalent():

@@ -20,7 +20,8 @@ from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet
 
 from oracles import (brute_intersection_points, brute_point_lines,
-                     brute_quadruple_histogram, family_of, instance_lines, point_rows)
+                     brute_quadruple_histogram, family_of, histogram_rows, instance_lines,
+                     point_rows)
 
 G_XY = Poly(2, {(1, 1): Fraction(1)})
 G_X2_PLUS_Y = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
@@ -105,7 +106,7 @@ def test_chain_and_rich_points_match_brute_force(name):
     rich = [sum(1 for n in n_at.values() if n >= t) for t in thresholds]
     for workers in (1, 2, 3):
         report = verify_chain(g, ground, workers=workers)
-        assert report.histogram.counts == hist
+        assert histogram_rows(report.histogram) == hist
         assert {field: getattr(report, field) for field in fields} == fields
         weights = crossing_weights(family, workers=workers, points=True)
         assert [r.count for r in rich_point_reports(family, thresholds, weights)] == rich
