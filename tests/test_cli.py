@@ -91,6 +91,36 @@ def test_chain_report_and_histogram_csv(tmp_path):
     assert rows[1:] == [["-1", "2"], ["0", "4"], ["1", "2"]]
 
 
+@pytest.mark.parametrize("g", [G_XY, G_X2_PLUS_Y])
+def test_chain_on_a_singleton(tmp_path, g):
+    hist_path = tmp_path / "hist.csv"
+    code, report = run_cli(tmp_path, "chain", "--g", g,
+                           "--set", '{"kind":"arithmetic","start":5,"step":1,"size":1}',
+                           "--histogram-out", str(hist_path))
+    assert code == 0
+    assert report["results"] == {
+        "size_a": 1, "degree": 2, "size_x": 0, "quadruple_total": 0,
+        "squared_multiplicity_total": 1, "energy_support": 0,
+        "energy_support_excl_zero": 0, "zero_in_support": False,
+        "size_bound_ok": True, "size_bound_limit": "1/16",
+        "max_line_multiplicity": 1, "line_multiplicity_within_degree": True,
+        "max_point_weight": 0, "point_weight_cap": 2, "point_weight_within_cap": True,
+        "energy_bound_ratio": None, "energy_bound_ratio_excl_zero": None,
+        "inferred_lower_bound": 0.0, "links": {"empty_instance": True},
+    }
+    assert read_csv(hist_path) == [["x", "count"]]
+
+
+def test_quotient_on_a_singleton(tmp_path):
+    values_path = tmp_path / "values.csv"
+    code, report = run_cli(tmp_path, "quotient", "--g", G_XY,
+                           "--set", '{"kind":"arithmetic","start":5,"step":1,"size":1}',
+                           "--values-out", str(values_path))
+    assert code == 0
+    assert report["results"] == {"size_a": 1, "size_x": 0, "values": []}
+    assert read_csv(values_path) == [["value"]]
+
+
 def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
     calls = {"histogram": 0, "quotient": 0}
     kernel = lines._pair_keys_chunk
@@ -250,6 +280,28 @@ HISTOGRAM_CSV_SHA256 = {
 }
 
 
+# sha256 of the --scan-out CSV and of the canonical results JSON
+# (json.dumps(results, sort_keys=True)) of scans over {start, start+1, ...}
+# at the given sizes, written when exponent_scan returned a NamedTuple
+SCAN_CSV_SHA256 = {
+    (G_X, 1, "4,8,16"): "67eb72d23f9f533b25c0d86bc00272eecaa85ecb83a1f67473e072929e84ccd4",
+    (G_X2_PLUS_Y, -4, "3,5,9"): "bbffa7926e14f33a0f501f98ba5ace7976b8afaa67ba31a5ddd608578532e8ea",
+}
+SCAN_RESULTS_SHA256 = {
+    (G_X, 1, "4,8,16"): "d900a8995bd7be53abd0b25a4011c9eb5c03e6eead1829bea6d5f05a287e60a5",
+    (G_X2_PLUS_Y, -4, "3,5,9"): "69912477e075bc46dc248bddeb747a9b5650df8aca4b83c3edcaf5be9799bf56",
+}
+# the same for chain results, written when verify_chain returned a NamedTuple
+CHAIN_RESULTS_SHA256 = {
+    (G_XY, 1, 6): "ef92d0f19242fb3f53d1fca31714f79c91e0b7ccec923201e56ccb61b2116268",
+    (G_X2_PLUS_Y, -4, 9): "2475212823503f0c216681303c72ac0d6c86480ef9011ea1a86e6a65a5dfe132",
+}
+
+
+def results_sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report["results"], sort_keys=True).encode()).hexdigest()
+
+
 def test_values_csv_bytes_are_unchanged(tmp_path):
     for (g, start, size), digest in VALUES_CSV_SHA256.items():
         spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
@@ -280,6 +332,30 @@ def test_histogram_csv_bytes_are_unchanged(tmp_path):
                               "--histogram-out", str(hist_path), "--workers", workers)
             assert code == 0
             assert hashlib.sha256(hist_path.read_bytes()).hexdigest() == digest
+
+
+def test_chain_results_bytes_are_unchanged(tmp_path):
+    for (g, start, size), digest in CHAIN_RESULTS_SHA256.items():
+        spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
+        for workers in ("1", "2"):
+            code, report = run_cli(tmp_path, "chain", "--g", g, "--set", spec,
+                                   "--workers", workers)
+            assert code == 0
+            assert results_sha256(report) == digest
+
+
+def test_scan_results_and_csv_bytes_are_unchanged(tmp_path):
+    for (g, start, sizes), digest in SCAN_RESULTS_SHA256.items():
+        spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": 3})
+        for workers in ("1", "2"):
+            scan_path = tmp_path / f"scan_{start}_{workers}.csv"
+            code, report = run_cli(tmp_path, "exponent-scan", "--g", g, "--set", spec,
+                                   "--sizes", sizes, "--scan-out", str(scan_path),
+                                   "--workers", workers)
+            assert code == 0
+            assert results_sha256(report) == digest
+            assert (hashlib.sha256(scan_path.read_bytes()).hexdigest()
+                    == SCAN_CSV_SHA256[g, start, sizes])
 
 
 def count_fractions(monkeypatch, module=quotients) -> list:
