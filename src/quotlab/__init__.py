@@ -10,9 +10,9 @@ from .sets import GroundSet, SetSpec, generate_set
 from .lines import (Line, LineMultiset, RichPointReport, IncidenceReport,
                     build_lines, vertical_section, crossing_weights,
                     rich_point_reports, incidences)
-from .quotients import (QuotientSet, QuadrupleHistogram, ChainReport,
-                        ScanReport, quotient_set, quadruple_histogram,
-                        verify_chain, exponent_scan, fit_loglog_slope)
+from .quotients import (QuotientSet, QuadrupleHistogram, quotient_set,
+                        quadruple_histogram, verify_chain, exponent_scan,
+                        fit_loglog_slope)
 from .bisectors import (InterceptSet, bisector_intercept_set,
                         intercept_quotient_poly)
 from .errors import (QuotlabError, InputError, DegenerateError,
@@ -27,9 +27,8 @@ __all__ = [
     "Line", "LineMultiset", "RichPointReport", "IncidenceReport",
     "build_lines", "vertical_section", "crossing_weights",
     "rich_point_reports", "incidences",
-    "QuotientSet", "QuadrupleHistogram", "ChainReport", "ScanReport",
-    "quotient_set", "quadruple_histogram", "verify_chain", "exponent_scan",
-    "fit_loglog_slope",
+    "QuotientSet", "QuadrupleHistogram", "quotient_set", "quadruple_histogram",
+    "verify_chain", "exponent_scan", "fit_loglog_slope",
     "InterceptSet", "bisector_intercept_set", "intercept_quotient_poly",
     "QuotlabError", "InputError", "DegenerateError", "ResourceCapError",
     "InternalCheckError",

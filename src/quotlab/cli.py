@@ -116,8 +116,8 @@ def _quotient(inp):
 
 
 def _chain(inp):
-    report = quotients.verify_chain(inp.g, generate_set(inp.set), workers=inp.workers)
-    return report.to_dict(), reports.histogram_csv_rows(report.histogram)
+    results, hist = quotients.verify_chain(inp.g, generate_set(inp.set), workers=inp.workers)
+    return results, reports.histogram_csv_rows(hist)
 
 
 def _rich_points(inp):
@@ -146,7 +146,7 @@ def _incidences(inp):
 def _exponent_scan(inp):
     scan = quotients.exponent_scan(inp.g, inp.set, inp.sizes, workers=inp.workers,
                                    allow_degenerate=inp.allow_degenerate)
-    return scan.to_dict(), reports.scan_csv_rows(scan)
+    return scan, reports.scan_csv_rows(scan)
 
 
 def _bisector(inp):
@@ -317,6 +317,10 @@ def main(argv=None) -> int:
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap: out of memory; use a smaller set or fewer workers",
+              file=sys.stderr)
         return 3
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -82,7 +82,7 @@ class LineMultiset:
     scaled intercept is divided out, so that LC is the lcm of the
     intercepts' denominators.  build_lines makes every family."""
 
-    __slots__ = ("table", "_lines")
+    __slots__ = ("table",)
 
     def __init__(self, columns: dict[int, dict[int, int]], lb: int, lc: int):
         h = gcd(lc, *(c for column in columns.values() for c in column))
@@ -95,19 +95,17 @@ class LineMultiset:
             mult_lists.append([column[c] for c in cs])
         xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
         self.table = (sb, lb, sc_lists, mult_lists, lc // h, xscale)
-        self._lines = None
 
     @property
     def lines(self) -> tuple[Line, ...]:
-        """The lines as Fractions, sorted by (slope, intercept)."""
-        if self._lines is None:
-            sb, lb, sc_lists, mult_lists, lc, _xscale = self.table
-            lines: list[Line] = []
-            for s, cs, ms in zip(sb, sc_lists, mult_lists):
-                slope = Fraction(s, lb)
-                lines += [Line(slope, Fraction(c, lc), m) for c, m in zip(cs, ms)]
-            self._lines = tuple(lines)
-        return self._lines
+        """The lines as Fractions, sorted by (slope, intercept), built on
+        each read."""
+        sb, lb, sc_lists, mult_lists, lc, _xscale = self.table
+        lines: list[Line] = []
+        for s, cs, ms in zip(sb, sc_lists, mult_lists):
+            slope = Fraction(s, lb)
+            lines += [Line(slope, Fraction(c, lc), m) for c, m in zip(cs, ms)]
+        return tuple(lines)
 
     def __len__(self) -> int:
         return sum(map(len, self.table[2]))

@@ -19,7 +19,8 @@ Fraction.  verify_chain builds the family once, reads X off as
 -support(Q), and compares Q key by key with the lowest-slope-line sweep
 of lines.py, a second enumeration that groups the same crossings per
 line; it reads keys as Fractions (key_value) only at its three sampled
-abscissas.
+abscissas.  verify_chain and exponent_scan return the dicts that their
+reports carry as ``results``; the CLI writes them as they are.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DegenerateError, InputError, InternalCheckError
 from .lines import (LineMultiset, build_lines, crossing_pair_count, crossing_weights,
                     pair_keys, vertical_section)
 from .polynomials import Poly, degeneracy_test
+from .rationals import format_rational
 from .sets import GroundSet, SetSpec, generate_set
 
 
@@ -85,11 +87,9 @@ class QuadrupleHistogram:
 
 def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     """All values (g(a1,b1) - g(a2,b2))/(b2 - b1) over quadruples from A
-    with b1 != b2, deduplicated.  Empty when |A| < 2.  The lines of
+    with b1 != b2, deduplicated.  Empty when |A| = 1.  The lines of
     g(a1, b_i) and g(a2, b_j) cross at x = (c_i - c_j) / (b_j - b_i) with
     c = -g(a, b), which is minus the quotient: X is the negated keys."""
-    if len(ground) < 2:
-        return QuotientSet(set(), (1, 1))
     family = build_lines(g, ground, ground)
     return QuotientSet(pair_keys(family, family.table[2], set, workers), family.key_scale)
 
@@ -122,47 +122,12 @@ def require_nondegenerate(g: Poly, allow_degenerate: bool | None = None) -> None
 # -- the verification chain ------------------------------------------------
 
 
-class ChainReport(NamedTuple):
-    """Every computable link of the growth argument on one instance.
-
-    Exact integers throughout; the ratios are floats derived for display.
-    ``links`` records the identities that were checked (a failure raises
-    InternalCheckError instead of producing a report).  ``histogram`` is
-    the Q the chain computed; it is not part of ``to_dict``.
-    """
-
-    size_a: int
-    degree: int
-    size_x: int
-    quadruple_total: int
-    squared_multiplicity_total: int
-    energy_support: int
-    energy_support_excl_zero: int
-    zero_in_support: bool
-    size_bound_ok: bool
-    size_bound_limit: Fraction
-    max_line_multiplicity: int
-    line_multiplicity_within_degree: bool
-    max_point_weight: int
-    point_weight_cap: int
-    point_weight_within_cap: bool
-    energy_bound_ratio: float | None
-    energy_bound_ratio_excl_zero: float | None
-    inferred_lower_bound: float
-    histogram: QuadrupleHistogram
-    links: dict
-
-    def to_dict(self) -> dict:
-        from .rationals import format_rational
-        out = self._asdict()
-        del out["histogram"]
-        out["size_bound_limit"] = format_rational(self.size_bound_limit)
-        out["links"] = dict(self.links)
-        return out
-
-
-def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
-    """Compute and cross-verify the full quadruple/energy chain.
+def verify_chain(g: Poly, ground: GroundSet,
+                 workers: int = 1) -> tuple[dict, QuadrupleHistogram]:
+    """Compute and cross-verify the full quadruple/energy chain; return
+    (results, Q), ``results`` being the chain report's JSON object: exact
+    counts, float ratios for display, and ``links``, the identities checked
+    ({"empty_instance": true} at |A| = 1, where no two lines cross).
 
     Checks performed exactly (any failure raises InternalCheckError):
       * histogram conservation: sum Q(x) = |A|^3 (|A| - 1);
@@ -189,19 +154,6 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     require_nondegenerate(g)
     degree = g.total_degree()
     n = len(ground)
-
-    if n < 2:
-        return ChainReport(
-            size_a=n, degree=degree, size_x=0, quadruple_total=0,
-            squared_multiplicity_total=n, energy_support=0,
-            energy_support_excl_zero=0, zero_in_support=False,
-            size_bound_ok=True, size_bound_limit=Fraction(n * n, 4 * degree ** 2),
-            max_line_multiplicity=min(n, 1), line_multiplicity_within_degree=True,
-            max_point_weight=0, point_weight_cap=degree * n,
-            point_weight_within_cap=True, energy_bound_ratio=None,
-            energy_bound_ratio_excl_zero=None, inferred_lower_bound=0.0,
-            histogram=QuadrupleHistogram(Counter(), (1, 1)), links={"empty_instance": True})
-
     family = build_lines(g, ground, ground)
     # The histogram runs first: the sweep's memory check needs |X|.
     hist = quadruple_histogram(family, workers=workers)
@@ -230,7 +182,7 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     max_point_weight = max(sweep.weights, default=0)
 
     keys = sorted(pairs)
-    sampled = {keys[0], keys[len(keys) // 2], keys[-1]}
+    sampled = {keys[i] for i in (0, len(keys) // 2, -1) if keys}
     for key in sampled:
         x = key_value(key, family.key_scale)
         section = vertical_section(family, x).values()
@@ -240,12 +192,8 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
             raise InternalCheckError(f"energy identity failed at {x}")
 
     zero_in_support = 0 in pairs  # the key of x = 0 is 0
-    if zero_in_support:
-        energy_excl = energy_support - (2 * pairs[0] + t2)
-        size_excl = size_x - 1
-    else:
-        energy_excl = energy_support
-        size_excl = size_x
+    energy_excl = energy_support - zero_in_support * (2 * pairs[0] + t2)
+    size_excl = size_x - zero_in_support
 
     size_bound_limit = Fraction(n * n, 4 * degree ** 2)
     ratio = energy_support / (n ** 3 * math.sqrt(size_x)) if size_x else None
@@ -254,27 +202,26 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
     inferred = (size_x * (quadruple_total / energy_support) ** 2
                 if energy_support else 0.0)
 
-    return ChainReport(
-        size_a=n,
-        degree=degree,
-        size_x=size_x,
-        quadruple_total=quadruple_total,
-        squared_multiplicity_total=t2,
-        energy_support=energy_support,
-        energy_support_excl_zero=energy_excl,
-        zero_in_support=zero_in_support,
-        size_bound_ok=size_x <= size_bound_limit,
-        size_bound_limit=size_bound_limit,
-        max_line_multiplicity=family.max_multiplicity,
-        line_multiplicity_within_degree=family.max_multiplicity <= degree,
-        max_point_weight=max_point_weight,
-        point_weight_cap=degree * n,
-        point_weight_within_cap=max_point_weight <= degree * n,
-        energy_bound_ratio=ratio,
-        energy_bound_ratio_excl_zero=ratio_excl,
-        inferred_lower_bound=inferred,
-        histogram=hist,
-        links={
+    results = {
+        "size_a": n,
+        "degree": degree,
+        "size_x": size_x,
+        "quadruple_total": quadruple_total,
+        "squared_multiplicity_total": t2,
+        "energy_support": energy_support,
+        "energy_support_excl_zero": energy_excl,
+        "zero_in_support": zero_in_support,
+        "size_bound_ok": size_x <= size_bound_limit,
+        "size_bound_limit": format_rational(size_bound_limit),
+        "max_line_multiplicity": family.max_multiplicity,
+        "line_multiplicity_within_degree": family.max_multiplicity <= degree,
+        "max_point_weight": max_point_weight,
+        "point_weight_cap": degree * n,
+        "point_weight_within_cap": max_point_weight <= degree * n,
+        "energy_bound_ratio": ratio,
+        "energy_bound_ratio_excl_zero": ratio_excl,
+        "inferred_lower_bound": inferred,
+        "links": {
             "histogram_conservation": True,
             "sign_bridge": True,
             "abscissa_support_match": True,
@@ -282,23 +229,12 @@ def verify_chain(g: Poly, ground: GroundSet, workers: int = 1) -> ChainReport:
             "pair_accounting": True,
             "energy_identity": True,
             "vertical_mass_samples": len(sampled),
-        })
+        } if pairs else {"empty_instance": True},
+    }
+    return results, hist
 
 
 # -- growth-exponent scans --------------------------------------------------
-
-
-class ScanReport(NamedTuple):
-    rows: tuple[tuple[int, int], ...]  # (|A|, |X|)
-    slope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [{"size": n, "quotients": m,
-                      "log_size": math.log(n), "log_quotients": math.log(m)}
-                     for n, m in self.rows],
-            "slope": self.slope,
-        }
 
 
 def fit_loglog_slope(sizes: Sequence[int], counts: Sequence[int]) -> float:
@@ -319,8 +255,10 @@ def fit_loglog_slope(sizes: Sequence[int], counts: Sequence[int]) -> float:
 
 
 def exponent_scan(g: Poly, family: SetSpec, sizes: Sequence[int],
-                  workers: int = 1, allow_degenerate: bool = False) -> ScanReport:
-    """|X| across a family of growing sets, with the fitted growth slope.
+                  workers: int = 1, allow_degenerate: bool = False) -> dict:
+    """|X| across a family of growing sets, with the fitted growth slope:
+    {"rows": [{"size", "quotients", "log_size", "log_quotients"}, ...],
+    "slope": ...}, the exponent-scan report's JSON object.
 
     Degenerate g is refused unless ``allow_degenerate`` forces the plain
     quotient computation (useful to chart the collapsing families).
@@ -332,9 +270,9 @@ def exponent_scan(g: Poly, family: SetSpec, sizes: Sequence[int],
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("scan sizes must be strictly increasing")
     require_nondegenerate(g, allow_degenerate)
-    rows = []
-    for size in sizes:
-        ground = generate_set(family.with_size(size))
-        rows.append((size, len(quotient_set(g, ground, workers=workers))))
-    slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
-    return ScanReport(tuple(rows), slope)
+    counts = [len(quotient_set(g, generate_set(family.with_size(size)), workers=workers))
+              for size in sizes]
+    rows = [{"size": n, "quotients": m,
+             "log_size": math.log(n), "log_quotients": math.log(m)}
+            for n, m in zip(sizes, counts)]
+    return {"rows": rows, "slope": fit_loglog_slope(sizes, counts)}

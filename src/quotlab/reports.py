@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
 from typing import Iterable
 
@@ -70,6 +69,7 @@ def values_csv_rows(values) -> Iterable[tuple]:
         yield (format_key(-key, values.scale),)
 
 
-def scan_csv_rows(scan) -> Iterable[tuple]:
-    for n, m in scan.rows:
-        yield (n, m, math.log(n), math.log(m))
+def scan_csv_rows(scan: dict) -> Iterable[tuple]:
+    """Rows (size, quotients, log size, log quotients) of exponent_scan's rows."""
+    for row in scan["rows"]:
+        yield (row["size"], row["quotients"], row["log_size"], row["log_quotients"])

@@ -775,6 +775,17 @@ def test_memory_cap_exit_code(tmp_path, monkeypatch, capsys):
     assert "(36 lines + 0 abscissas) x 500 B x 1)" in err
 
 
+def test_memory_error_outside_the_workers_exits_three(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(quotients, "build_lines", exhausted)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3)
+    assert code == 3
+    assert report is None
+    assert "resource cap: out of memory" in capsys.readouterr().err
+
+
 def test_chain_too_large_for_memory_is_refused_before_the_sweep(tmp_path, monkeypatch,
                                                                 capsys):
     calls = count_kernel_calls(monkeypatch)

@@ -73,6 +73,11 @@ def test_quotient_set_singleton_is_empty():
     assert len(quotient_set(G_X, interval(1))) == 0
 
 
+def test_quotient_set_refuses_an_empty_set():
+    with pytest.raises(InputError, match="nonempty"):
+        quotient_set(G_XY, GroundSet([]))
+
+
 def test_quotient_set_rational_ground_set():
     ground = interval("1/2", "1/3", "-2")
     assert value_rows(quotient_set(G_XY, ground)) == sorted(brute_quotient_set(G_XY, ground))
@@ -261,12 +266,12 @@ def test_histogram_workers_equivalent():
 # -- verification chain ---------------------------------------------------------
 
 def test_chain_worked_example():
-    report = verify_chain(G_X, interval(0, 1))
-    assert report.size_x == 3
-    assert report.quadruple_total == 8
-    assert report.energy_support == 20
-    assert report.energy_bound_ratio == pytest.approx(20 / (8 * math.sqrt(3)))
-    assert all(report.links.values())
+    results, _ = verify_chain(G_X, interval(0, 1))
+    assert results["size_x"] == 3
+    assert results["quadruple_total"] == 8
+    assert results["energy_support"] == 20
+    assert results["energy_bound_ratio"] == pytest.approx(20 / (8 * math.sqrt(3)))
+    assert all(results["links"].values())
 
 
 def test_chain_refuses_degenerate():
@@ -275,37 +280,42 @@ def test_chain_refuses_degenerate():
 
 
 def test_chain_singleton_reports_zeroes():
-    report = verify_chain(G_X, interval(7))
-    assert report.size_x == 0
-    assert report.quadruple_total == 0
-    assert report.energy_support == 0
+    results, _ = verify_chain(G_X, interval(7))
+    assert results["size_x"] == 0
+    assert results["quadruple_total"] == 0
+    assert results["energy_support"] == 0
+
+
+def test_chain_refuses_an_empty_set():
+    with pytest.raises(InputError, match="nonempty"):
+        verify_chain(G_XY, GroundSet([]))
 
 
 def test_chain_energy_identity_fields():
     ground = interval(*range(1, 7))
-    report = verify_chain(G_XY, ground)
-    t2 = report.squared_multiplicity_total
-    assert report.energy_support == report.quadruple_total + report.size_x * t2
-    assert report.links["energy_identity"]
+    results, _ = verify_chain(G_XY, ground)
+    t2 = results["squared_multiplicity_total"]
+    assert results["energy_support"] == results["quadruple_total"] + results["size_x"] * t2
+    assert results["links"]["energy_identity"]
 
 
 def test_chain_zero_in_support_handling():
     # 0 is always a quotient (a1 = a2, b1 = b2 swapped pairs), so the
     # excluded-zero energy must drop Q(0) + T2
     ground = interval(1, 2, 3)
-    report = verify_chain(G_X, ground)
-    assert report.zero_in_support
+    results, _ = verify_chain(G_X, ground)
+    assert results["zero_in_support"]
     hist = histogram(G_X, ground)
-    drop = histogram_rows(hist)[frac(0)] + report.squared_multiplicity_total
-    assert report.energy_support_excl_zero == report.energy_support - drop
+    drop = histogram_rows(hist)[frac(0)] + results["squared_multiplicity_total"]
+    assert results["energy_support_excl_zero"] == results["energy_support"] - drop
 
 
 def test_chain_collapsing_multiplicity_is_reported_not_asserted():
     ground = interval(0, 1, 2, 3)
-    report = verify_chain(G_XY, ground)  # b = 0 collapses a whole column
-    assert report.max_line_multiplicity == 4
-    assert not report.line_multiplicity_within_degree
-    assert all(report.links.values())
+    results, _ = verify_chain(G_XY, ground)  # b = 0 collapses a whole column
+    assert results["max_line_multiplicity"] == 4
+    assert not results["line_multiplicity_within_degree"]
+    assert all(results["links"].values())
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -314,17 +324,17 @@ def test_chain_links_hold_on_random_instances(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng, max_degree=3)
     ground = random_ground_set(rng, rng.randint(2, 6), rational=bool(seed % 2))
-    report = verify_chain(g, ground)
-    assert all(report.links.values())
-    assert report.size_x == len(brute_quotient_set(g, ground))
-    assert histogram_rows(report.histogram) == brute_quadruple_histogram(g, ground)
+    results, hist = verify_chain(g, ground)
+    assert all(results["links"].values())
+    assert results["size_x"] == len(brute_quotient_set(g, ground))
+    assert histogram_rows(hist) == brute_quadruple_histogram(g, ground)
 
 
 def test_chain_workers_equivalent():
     ground = interval(*range(1, 8))
-    r1 = verify_chain(G_XY, ground, workers=1)
-    r4 = verify_chain(G_XY, ground, workers=4)
-    assert r1.to_dict() == r4.to_dict()
+    r1, _ = verify_chain(G_XY, ground, workers=1)
+    r4, _ = verify_chain(G_XY, ground, workers=4)
+    assert r1 == r4
 
 
 # -- closed form for the collapsed quadratic ------------------------------------
@@ -350,14 +360,14 @@ def test_scan_sizes_must_increase():
 def test_scan_refuses_degenerate_without_flag():
     with pytest.raises(DegenerateError):
         exponent_scan(G_Y2, AP_SPEC, [4, 8])
-    report = exponent_scan(G_Y2, AP_SPEC, [4, 8], allow_degenerate=True)
-    assert [m for _, m in report.rows] == [5, 13]
+    scan = exponent_scan(G_Y2, AP_SPEC, [4, 8], allow_degenerate=True)
+    assert [row["quotients"] for row in scan["rows"]] == [5, 13]
 
 
 def test_scan_difference_ratio_small():
-    report = exponent_scan(G_X, AP_SPEC, [4, 8, 16])
-    assert [n for n, _ in report.rows] == [4, 8, 16]
-    assert 1.5 <= report.slope <= 2.2
+    scan = exponent_scan(G_X, AP_SPEC, [4, 8, 16])
+    assert [row["size"] for row in scan["rows"]] == [4, 8, 16]
+    assert 1.5 <= scan["slope"] <= 2.2
 
 
 def test_fit_loglog_slope_exact_power():

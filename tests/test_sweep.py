@@ -105,9 +105,9 @@ def test_chain_and_rich_points_match_brute_force(name):
     thresholds = list(range(2, fields["max_point_weight"] + 2))
     rich = [sum(1 for n in n_at.values() if n >= t) for t in thresholds]
     for workers in (1, 2, 3):
-        report = verify_chain(g, ground, workers=workers)
-        assert histogram_rows(report.histogram) == hist
-        assert {field: getattr(report, field) for field in fields} == fields
+        results, histogram = verify_chain(g, ground, workers=workers)
+        assert histogram_rows(histogram) == hist
+        assert {field: results[field] for field in fields} == fields
         weights = crossing_weights(family, workers=workers, points=True)
         assert [r.count for r in rich_point_reports(family, thresholds, weights)] == rich
         assert list(points_csv_rows(weights)) == point_rows(n_at)
