@@ -297,6 +297,21 @@ CHAIN_RESULTS_SHA256 = {
     (G_X2_PLUS_Y, -4, 9): "2475212823503f0c216681303c72ac0d6c86480ef9011ea1a86e6a65a5dfe132",
 }
 
+# the same for rich-points at --thresholds 2,3,4 and for incidences at
+# INCIDENCE_POINTS, written when the kernels returned NamedTuples
+RICH_RESULTS_SHA256 = {
+    (G_XY, 1, 5): "38507f8d5b9d509ffc504bde6d289777f120570bd2c7df8fa4b3f66c55f15b39",
+    (G_X2_PLUS_Y, -3, 7): "085d1bd0235b57e86f07ad13910c3df1de7d8acfd17c0244f9772929b1c3a459",
+}
+INCIDENCE_RESULTS_SHA256 = {
+    (G_XY, 1, 5): "ee345b9ea14b7cc50add20a15883b8708493d8d7d301ec9c71bd0f11c4c6495e",
+    (G_X2_PLUS_Y, -3, 7): "a73bd9f9e0d1d1449d8cd60f11b126b233d650d85a6f6e3db941b048019fdc91",
+}
+# the integer grid [-3, 3] x [-12, 12] and three points off it
+INCIDENCE_POINTS = json.dumps(
+    [[str(x), str(y)] for x in range(-3, 4) for y in range(-12, 13)]
+    + [["1/2", "3/4"], ["1/3", "0"], ["-5/2", "7"]])
+
 
 def results_sha256(report) -> str:
     return hashlib.sha256(json.dumps(report["results"], sort_keys=True).encode()).hexdigest()
@@ -357,6 +372,18 @@ def test_scan_results_and_csv_bytes_are_unchanged(tmp_path):
             assert (hashlib.sha256(scan_path.read_bytes()).hexdigest()
                     == SCAN_CSV_SHA256[g, start, sizes])
 
+
+def test_rich_points_and_incidence_results_bytes_are_unchanged(tmp_path):
+    for experiment, digests, inputs in (
+            ("rich-points", RICH_RESULTS_SHA256, ("--thresholds", "2,3,4")),
+            ("incidences", INCIDENCE_RESULTS_SHA256, ("--points", INCIDENCE_POINTS))):
+        for (g, start, size), digest in digests.items():
+            spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
+            for workers in ("1", "2"):
+                code, report = run_cli(tmp_path, experiment, "--g", g, "--set", spec,
+                                       *inputs, "--workers", workers)
+                assert code == 0
+                assert results_sha256(report) == digest
 
 def count_fractions(monkeypatch, module=quotients) -> list:
     """The Fractions ``module`` builds from now on, in order."""
