@@ -7,9 +7,8 @@ from .rationals import parse_rational, format_rational, as_rational
 from .polynomials import (Poly, DegeneracyVerdict, bivariate_from_terms,
                           bivariate_to_terms, degeneracy_test, slice_difference)
 from .sets import GroundSet, SetSpec, generate_set
-from .lines import (Line, LineMultiset, RichPointReport, IncidenceReport,
-                    build_lines, vertical_section, crossing_weights,
-                    rich_point_reports, incidences)
+from .lines import (Line, LineMultiset, build_lines, vertical_section,
+                    crossing_weights, rich_point_reports, incidences)
 from .quotients import (QuotientSet, QuadrupleHistogram, quotient_set,
                         quadruple_histogram, verify_chain, exponent_scan,
                         fit_loglog_slope)
@@ -24,8 +23,7 @@ __all__ = [
     "Poly", "DegeneracyVerdict", "bivariate_from_terms", "bivariate_to_terms",
     "degeneracy_test", "slice_difference",
     "GroundSet", "SetSpec", "generate_set",
-    "Line", "LineMultiset", "RichPointReport", "IncidenceReport",
-    "build_lines", "vertical_section", "crossing_weights",
+    "Line", "LineMultiset", "build_lines", "vertical_section", "crossing_weights",
     "rich_point_reports", "incidences",
     "QuotientSet", "QuadrupleHistogram", "quotient_set", "quadruple_histogram",
     "verify_chain", "exponent_scan", "fit_loglog_slope",

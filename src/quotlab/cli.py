@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 from . import bisectors, lines, quotients, reports
 from .errors import DegenerateError, InputError, InternalCheckError, ResourceCapError
 from .polynomials import bivariate_from_terms, bivariate_to_terms, degeneracy_test
-from .rationals import as_rational, format_rational
+from .rationals import as_rational
 from .sets import SetSpec, generate_set
 
 # config fields of every experiment besides its inputs
@@ -125,22 +125,18 @@ def _rich_points(inp):
     ground = generate_set(inp.set)
     family = lines.build_lines(inp.g, ground, ground)
     weights = lines.crossing_weights(family, workers=inp.workers, points=bool(inp.csv_out))
-    rows = lines.rich_point_reports(family, inp.thresholds, weights)
     return {
         "size_a": len(ground),
         "total_weight": family.total_weight,
         "max_line_multiplicity": family.max_multiplicity,
-        "thresholds": [{"t": r.threshold, "count": r.count,
-                        "bound_ratio": format_rational(r.bound_ratio),
-                        "bound_ratio_float": float(r.bound_ratio)}
-                       for r in rows],
+        "thresholds": lines.rich_point_reports(family, inp.thresholds, weights),
     }, reports.points_csv_rows(weights)
 
 
 def _incidences(inp):
     ground = generate_set(inp.set)
     family = lines.build_lines(inp.g, ground, ground)
-    return lines.incidences(inp.points, family)._asdict(), None
+    return lines.incidences(inp.points, family), None
 
 
 def _exponent_scan(inp):

@@ -15,7 +15,9 @@ sorts them into the table, where one gcd brings lc down to the lcm of the
 intercepts' denominators.  A run-time anchor ties that evaluation to g:
 at the first, middle and last elements of A and of B, Poly.evaluate must
 give a line of the table.  The Fraction lines (LineMultiset.lines) are a
-view of the table, built on first use.
+view of the table, rebuilt on each read; only the tests and the perfbench
+tracer read them.  incidences reads n(x, y) off the integer vertical
+sections instead, one per distinct abscissa.
 
 Lines of classes i < j cross at the x whose key x*lc*M/lb =
 (C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify x exactly
@@ -55,6 +57,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .parallel import forks_children, run_chunks
 from .polynomials import Poly
+from .rationals import format_rational
 from .sets import GroundSet
 
 # Peak RSS, measured on g = xy and x + y^2 and rounded up, per entry (one
@@ -403,20 +406,6 @@ def crossing_weights(family: LineMultiset, workers: int = 1, *,
 # -- public reports -------------------------------------------------------
 
 
-class RichPointReport(NamedTuple):
-    threshold: int
-    count: int
-    bound_ratio: Fraction  # count * t^3 / (total weight)^2
-
-
-class IncidenceReport(NamedTuple):
-    count: int
-    st_reference: float
-    n_points: int
-    n_distinct_lines: int
-    total_weight: int
-
-
 def check_thresholds(thresholds: Sequence[int]) -> None:
     """Refuse a rich-point threshold that is not an integer >= 2."""
     for t in thresholds:
@@ -426,32 +415,34 @@ def check_thresholds(thresholds: Sequence[int]) -> None:
 
 
 def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
-                       weights: CrossingWeights) -> list[RichPointReport]:
-    """Rich-point counts of ``family`` for several thresholds, read off its
-    ``crossing_weights``."""
+                       weights: CrossingWeights) -> list[dict]:
+    """The report's row per threshold t, read off ``family``'s
+    ``crossing_weights``: the points of weight >= t and their ratio
+    count * t^3 / (total weight)^2 to the bound, exact and as a float."""
     check_thresholds(thresholds)
     w2 = family.total_weight ** 2
     out = []
     for t in thresholds:
         count = sum(c for n, c in weights.weights.items() if n >= t)
-        out.append(RichPointReport(t, count, Fraction(count * t ** 3, w2)))
+        ratio = Fraction(count * t ** 3, w2)
+        out.append({"t": t, "count": count, "bound_ratio": format_rational(ratio),
+                    "bound_ratio_float": float(ratio)})
     return out
 
 
-def incidences(points: Iterable[tuple[Fraction, Fraction]],
-               family: LineMultiset) -> IncidenceReport:
-    """Exact incidence count sum over points of n(point), with the
-    classical n^(2/3) m^(2/3) + n + m reference value alongside."""
+def incidences(points: Iterable[tuple[Fraction, Fraction]], family: LineMultiset) -> dict:
+    """Exact incidence count, the sum over points of n(point), read off one
+    vertical section per distinct abscissa, with the classical
+    n^(2/3) m^(2/3) + n + m reference value alongside."""
     pts = list(points)
-    by_slope: dict[Fraction, dict[Fraction, int]] = {}
-    for line in family.lines:
-        by_slope.setdefault(line.slope, {})[line.intercept] = line.multiplicity
+    _sb, lb, _sc, _mults, lc, _xscale = family.table
+    sections = {x: vertical_section(family, x) for x in {x for x, _y in pts}}
     count = 0
     for x, y in pts:
-        for slope, intercepts in by_slope.items():
-            count += intercepts.get(y - slope * x, 0)
-    n = len(pts)
-    m = len(family)
-    reference = n ** (2 / 3) * m ** (2 / 3) + n + m
-    return IncidenceReport(count=count, st_reference=reference, n_points=n,
-                           n_distinct_lines=m, total_weight=family.total_weight)
+        # y's section key y * lb * lc * den(x); no line passes where it is no integer
+        key, rest = divmod(y.numerator * lb * lc * x.denominator, y.denominator)
+        if not rest:
+            count += sections[x].get(key, 0)
+    n, m = len(pts), len(family)
+    return {"count": count, "st_reference": n ** (2 / 3) * m ** (2 / 3) + n + m,
+            "n_points": n, "n_distinct_lines": m, "total_weight": family.total_weight}

@@ -154,7 +154,7 @@ def test_criterion_5_oracle_equivalence():
                for _ in range(8)]
         pts += crossings
         weighted = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
-        assert incidences(pts, family).count == brute_incidences(pts, weighted)
+        assert incidences(pts, family)["count"] == brute_incidences(pts, weighted)
         checked += 1
     # one rectangular (A != B) energy instance through the same oracles
     ga, gb = random_ground_set(rng, 4), random_ground_set(rng, 6)
@@ -228,42 +228,64 @@ def test_criterion_6_companion_measured_behaviour():
 
 
 def criterion7_reports():
-    """Rich-point reports of g = xy on {1..16} for t in [2, max weight + 1]."""
+    """Rich-point reports of g = xy on {1..16} for t in [2, max weight + 1],
+    the max weight and the family's total weight."""
     ground = interval(16)
     family = build_lines(G_XY, ground, ground)
     weights = crossing_weights(family, points=True)
     max_weight = max(n for _x, _y, n in points_csv_rows(weights))
     thresholds = list(range(2, max_weight + 2))
-    return rich_point_reports(family, thresholds, weights), max_weight
+    return (rich_point_reports(family, thresholds, weights), max_weight,
+            family.total_weight)
 
 
-def check_rich_point_decay(reports, max_weight: int) -> None:
-    counts = [r.count for r in reports]
+def bound_ratio(count: int, t: int, total_weight: int) -> Fraction:
+    return Fraction(count * t ** 3, total_weight ** 2)
+
+
+def check_rich_point_decay(reports, max_weight: int, total_weight: int) -> None:
+    counts = [r["count"] for r in reports]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    assert reports[-1].threshold == max_weight + 1
-    assert reports[-1].count == 0
-    assert all(isinstance(r.bound_ratio, Fraction) for r in reports)
-    assert all(r.count > 0 for r in reports if r.threshold <= max_weight)
+    assert reports[-1]["t"] == max_weight + 1
+    assert reports[-1]["count"] == 0
+    for r in reports:
+        ratio = bound_ratio(r["count"], r["t"], total_weight)
+        assert Fraction(r["bound_ratio"]) == ratio
+        assert r["bound_ratio_float"] == float(ratio)
+    assert all(r["count"] > 0 for r in reports if r["t"] <= max_weight)
 
 
 def test_criterion_7_rich_point_decay():
-    reports, max_weight = criterion7_reports()
-    check_rich_point_decay(reports, max_weight)
+    reports, max_weight, total_weight = criterion7_reports()
+    check_rich_point_decay(reports, max_weight, total_weight)
     report_line(7, True, f"|R_t| non-increasing over t in [2, {max_weight + 1}], "
                          f"zero beyond max weight {max_weight}, exact ratios reported")
 
 
 def test_criterion_7_check_catches_seeded_defects():
-    reports, max_weight = criterion7_reports()
-    assert reports[-2].threshold == max_weight and reports[-2].count > 0
+    reports, max_weight, total_weight = criterion7_reports()
+    assert reports[-2]["t"] == max_weight and reports[-2]["count"] > 0
+
+    def with_count(r, count):
+        """``r`` with another count and the ratios that go with it."""
+        ratio = bound_ratio(count, r["t"], total_weight)
+        return {**r, "count": count, "bound_ratio": str(ratio),
+                "bound_ratio_float": float(ratio)}
+
+    check_rich_point_decay([with_count(r, r["count"]) for r in reports], max_weight,
+                           total_weight)
     # no point reaches the maximum weight: still non-increasing, caught by
     # the count >= 1 check alone
-    emptied = reports[:-2] + [reports[-2]._replace(count=0), reports[-1]]
+    emptied = reports[:-2] + [with_count(reports[-2], 0), reports[-1]]
     # more 3-rich points than 2-rich ones: positive, caught by monotonicity
-    rising = [reports[0], reports[1]._replace(count=reports[0].count + 1), *reports[2:]]
-    for defect in (emptied, rising):
+    rising = [reports[0], with_count(reports[1], reports[0]["count"] + 1), *reports[2:]]
+    # a ratio that is not count * t^3 / W^2, exact or as a float
+    first = reports[0]
+    doubled = [{**first, "bound_ratio": str(2 * Fraction(first["bound_ratio"]))}, *reports[1:]]
+    drifted = [{**first, "bound_ratio_float": 2 * first["bound_ratio_float"]}, *reports[1:]]
+    for defect in (emptied, rising, doubled, drifted):
         with pytest.raises(AssertionError):
-            check_rich_point_decay(defect, max_weight)
+            check_rich_point_decay(defect, max_weight, total_weight)
 
 
 def test_criterion_8_bisector_corollary():

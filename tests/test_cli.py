@@ -385,6 +385,7 @@ def test_rich_points_and_incidence_results_bytes_are_unchanged(tmp_path):
                 assert code == 0
                 assert results_sha256(report) == digest
 
+
 def count_fractions(monkeypatch, module=quotients) -> list:
     """The Fractions ``module`` builds from now on, in order."""
     built = []
@@ -467,6 +468,11 @@ def test_chain_builds_no_fraction_in_lines(tmp_path, monkeypatch):
                            "--workers", "1", "--histogram-out", str(tmp_path / "hist.csv"))
     assert code == 0
     assert report["results"]["links"]["vertical_mass_samples"] == 3
+    # incidences read the same sections, at a rational abscissa too
+    code, report = run_cli(tmp_path, "incidences", "--g", G_XY, "--set", spec,
+                           "--points", '[["1","0"],["2","3"],["1/2","-2"]]')
+    assert code == 0
+    assert report["results"]["count"] == 6 + 1 + 1
     assert built == []
 
 

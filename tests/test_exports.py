@@ -5,7 +5,7 @@ DELETED = {
     "divide_by_linear", "pair_difference", "slope_difference_divisor",
     "depends_on_x", "PlanarPoint", "bisector_y_intercept", "rich_points",
     "energy_restricted", "intersection_points", "PointMultiplicity",
-    "ChainReport", "ScanReport",
+    "ChainReport", "ScanReport", "RichPointReport", "IncidenceReport",
 }
 
 

@@ -109,7 +109,7 @@ def test_chain_and_rich_points_match_brute_force(name):
         assert histogram_rows(histogram) == hist
         assert {field: results[field] for field in fields} == fields
         weights = crossing_weights(family, workers=workers, points=True)
-        assert [r.count for r in rich_point_reports(family, thresholds, weights)] == rich
+        assert [r["count"] for r in rich_point_reports(family, thresholds, weights)] == rich
         assert list(points_csv_rows(weights)) == point_rows(n_at)
 
 
