@@ -416,9 +416,8 @@ def check_thresholds(thresholds: Sequence[int]) -> None:
 
 def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
                        weights: CrossingWeights) -> list[dict]:
-    """The report's row per threshold t, read off ``family``'s
-    ``crossing_weights``: the points of weight >= t and their ratio
-    count * t^3 / (total weight)^2 to the bound, exact and as a float."""
+    """The report's row per threshold t, read off ``crossing_weights``: the
+    points of weight >= t and count * t^3 / (total weight)^2, exact and as a float."""
     check_thresholds(thresholds)
     w2 = family.total_weight ** 2
     out = []
@@ -443,6 +442,7 @@ def incidences(points: Iterable[tuple[Fraction, Fraction]], family: LineMultiset
         key, rest = divmod(y.numerator * lb * lc * x.denominator, y.denominator)
         if not rest:
             count += sections[x].get(key, 0)
-    n, m = len(pts), len(family)
+    n = len(pts)
+    m = len(family)
     return {"count": count, "st_reference": n ** (2 / 3) * m ** (2 / 3) + n + m,
             "n_points": n, "n_distinct_lines": m, "total_weight": family.total_weight}
