@@ -15,9 +15,8 @@ sorts them into the table, where one gcd brings lc down to the lcm of the
 intercepts' denominators.  A run-time anchor ties that evaluation to g:
 at the first, middle and last elements of A and of B, Poly.evaluate must
 give a line of the table.  The Fraction lines (LineMultiset.lines) are a
-view of the table, rebuilt on each read; only the tests and the perfbench
-tracer read them.  incidences reads n(x, y) off the integer vertical
-sections instead, one per distinct abscissa.
+view of the table, rebuilt on each read for the tests and the perfbench
+tracer; incidences looks points up in the integer table.
 
 Lines of classes i < j cross at the x whose key x*lc*M/lb =
 (C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify x exactly
@@ -430,19 +429,19 @@ def rich_point_reports(family: LineMultiset, thresholds: Sequence[int],
 
 
 def incidences(points: Iterable[tuple[Fraction, Fraction]], family: LineMultiset) -> dict:
-    """Exact incidence count, the sum over points of n(point), read off one
-    vertical section per distinct abscissa, with the classical
-    n^(2/3) m^(2/3) + n + m reference value alongside."""
+    """Exact incidence count, the sum over points of n(point), with the
+    classical n^(2/3) m^(2/3) + n + m reference value alongside."""
     pts = list(points)
-    _sb, lb, _sc, _mults, lc, _xscale = family.table
-    sections = {x: vertical_section(family, x) for x in {x for x, _y in pts}}
+    sb, lb, sc_lists, mult_lists, lc, _xscale = family.table
+    columns = [dict(zip(cs, ms)) for cs, ms in zip(sc_lists, mult_lists)]
     count = 0
     for x, y in pts:
-        # y's section key y * lb * lc * den(x); no line passes where it is no integer
-        key, rest = divmod(y.numerator * lb * lc * x.denominator, y.denominator)
-        if not rest:
-            count += sections[x].get(key, 0)
-    n = len(pts)
-    m = len(family)
+        # (p/q, u/v) is on the line (s, c) of the table when c*lb*q*v = u*lb*lc*q - s*p*lc*v
+        p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
+        for s, column in zip(sb, columns):
+            c, off = divmod(u * lb * lc * q - s * p * lc * v, lb * q * v)
+            if not off:
+                count += column.get(c, 0)
+    n, m = len(pts), len(family)
     return {"count": count, "st_reference": n ** (2 / 3) * m ** (2 / 3) + n + m,
             "n_points": n, "n_distinct_lines": m, "total_weight": family.total_weight}

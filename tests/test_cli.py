@@ -461,14 +461,15 @@ def test_chain_reads_out_only_the_sampled_abscissas(tmp_path, monkeypatch):
 
 
 def test_chain_builds_no_fraction_in_lines(tmp_path, monkeypatch):
-    # the vertical sections key y by integers; the Fraction lines stay unbuilt
+    # the vertical sections key y by integers, incidences look points up in
+    # the integer table; the Fraction lines stay unbuilt
     built = count_fractions(monkeypatch, lines)
     spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 6})
     code, report = run_cli(tmp_path, "chain", "--g", G_X2_PLUS_Y, "--set", spec,
                            "--workers", "1", "--histogram-out", str(tmp_path / "hist.csv"))
     assert code == 0
     assert report["results"]["links"]["vertical_mass_samples"] == 3
-    # incidences read the same sections, at a rational abscissa too
+    # incidences, at a rational abscissa too
     code, report = run_cli(tmp_path, "incidences", "--g", G_XY, "--set", spec,
                            "--points", '[["1","0"],["2","3"],["1/2","-2"]]')
     assert code == 0

@@ -386,8 +386,8 @@ def test_incidences_match_brute_force(seed):
     pts = [(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
            for _ in range(6)]
     weighted = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
-    # rational points, where y's section key is often no integer, and a
-    # point of a line at each of their abscissas
+    # rational points, where the intercept a line would need is often no
+    # integer in the table's scale, and a point of a line at each of their abscissas
     rational = [(Fraction(rng.randint(-8, 8), rng.randint(1, 4)),
                  Fraction(rng.randint(-8, 8), rng.randint(1, 4))) for _ in range(6)]
     on_lines = [(x, slope * x + intercept)
