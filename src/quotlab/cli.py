@@ -5,8 +5,8 @@ incidences, exponent-scan, bisector.  Experiments can be described by a
 JSON config file (--config) with flags overriding individual fields, so
 a committed config reproduces a run exactly.
 
-``EXPERIMENTS`` gives each experiment its run function, its input fields
-(``_INPUTS``: each is a flag and a config field) and its optional CSV.
+``EXPERIMENTS`` gives each experiment its run function, the fields it reads
+(``_INPUTS``: each a flag and a config field; no others) and its optional CSV.
 Run functions call kernels through module attributes at call time, so a
 wrapper patched onto a module attribute sees every call.
 
@@ -31,9 +31,6 @@ from .errors import DegenerateError, InputError, InternalCheckError, ResourceCap
 from .polynomials import bivariate_from_terms, bivariate_to_terms, degeneracy_test
 from .rationals import as_rational
 from .sets import SetSpec, generate_set
-
-# config fields of every experiment besides its inputs
-_COMMON_FIELDS = ("experiment", "output", "workers", "allow_degenerate", "seed")
 
 DESK_SCALE_LIMIT = 128
 
@@ -81,7 +78,20 @@ def _parse_points(raw) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-# field: (flag, help, flag text -> config value, config value -> typed value)
+def _workers(raw) -> int:
+    if type(raw) is not int or raw < 1:
+        raise InputError("workers must be an integer >= 1")
+    return raw
+
+
+def _allow_degenerate(raw) -> bool:
+    if type(raw) is not bool:
+        raise InputError("allow_degenerate must be true or false")
+    return raw
+
+
+# field: (flag, help, flag text -> config value, config value -> typed value);
+# one with no flag parser is an on/off flag, and one in _OPTIONAL may be left out
 _INPUTS = {
     "g": ("--g", 'polynomial term list, e.g. \'[{"c":"1","i":1,"j":1}]\' (or @file)',
           lambda text: _load_json_arg(text, "polynomial"), bivariate_from_terms),
@@ -95,7 +105,11 @@ _INPUTS = {
                    lambda raw: _int_list(raw, "thresholds")),
     "points": ("--points", 'JSON point list, e.g. \'[["0","0"],["1","1/2"]]\'',
                lambda text: _load_json_arg(text, "points"), _parse_points),
+    "workers": ("--workers", "worker processes (default 1)", int, _workers),
+    "allow_degenerate": ("--allow-degenerate", "chart a degenerate g anyway",
+                         None, _allow_degenerate),
 }
+_OPTIONAL = {"workers": 1, "allow_degenerate": False}
 
 
 # Each run function takes the resolved inputs (``_resolve``) and returns
@@ -168,19 +182,21 @@ class Experiment(NamedTuple):
 
 EXPERIMENTS = {
     "degeneracy": Experiment(_degeneracy, ("g",)),
-    "quotient": Experiment(_quotient, ("g", "set"), (
-        "--values-out", "CSV of the sorted quotient values", ["value"])),
-    "chain": Experiment(_chain, ("g", "set"), (
+    "quotient": Experiment(_quotient, ("g", "set", "workers", "allow_degenerate"), (
+        "--values-out", "CSV of the sorted quotient values", ["value"]), desk_scale=True),
+    "chain": Experiment(_chain, ("g", "set", "workers"), (
         "--histogram-out", "CSV of the quadruple histogram (x, count)", ["x", "count"]),
         desk_scale=True),
-    "rich-points": Experiment(_rich_points, ("g", "set", "thresholds"), (
-        "--points-out", "CSV of crossing points (x, y, n), sorted", ["x", "y", "n"])),
+    "rich-points": Experiment(_rich_points, ("g", "set", "thresholds", "workers"), (
+        "--points-out", "CSV of crossing points (x, y, n), sorted", ["x", "y", "n"]),
+        desk_scale=True),
     "incidences": Experiment(_incidences, ("g", "set", "points")),
-    "exponent-scan": Experiment(_exponent_scan, ("g", "set", "sizes"), (
+    "exponent-scan": Experiment(_exponent_scan,
+                                ("g", "set", "sizes", "workers", "allow_degenerate"), (
         "--scan-out", "CSV of (size, quotients, log size, log quotients)",
         ["size", "quotients", "log_size", "log_quotients"]), desk_scale=True),
-    "bisector": Experiment(_bisector, ("set",), (
-        "--intercepts-out", "CSV of the sorted intercepts", ["intercept"])),
+    "bisector": Experiment(_bisector, ("set", "workers"), (
+        "--intercepts-out", "CSV of the sorted intercepts", ["intercept"]), desk_scale=True),
 }
 
 
@@ -193,15 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", dest="output",
                        help="write the JSON report here (default: stdout)")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--seed", type=int, help="override the seed of a random set spec")
-        p.add_argument("--allow-degenerate", action="store_true", default=None,
-                       help="permit degenerate g in quotient/exponent-scan runs")
-        p.add_argument("--force-large", action="store_true",
-                       help="lift the desk-scale |A| <= 128 guardrail")
         for field in experiment.inputs:
             flag, help_text, parse_flag, _ = _INPUTS[field]
-            p.add_argument(flag, dest=field, type=parse_flag, help=help_text)
+            kind = {"type": parse_flag} if parse_flag else {"action": "store_true"}
+            p.add_argument(flag, dest=field, help=help_text, default=None, **kind)
+        if experiment.desk_scale:
+            p.add_argument("--force-large", action="store_true",
+                           help="lift the desk-scale |A| <= 128 guardrail")
         if experiment.csv:
             flag, help_text, _ = experiment.csv
             p.add_argument(flag, dest="csv_out", metavar="CSV", help=help_text)
@@ -210,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merged_config(args, experiment: Experiment) -> dict:
     """Config file merged with flag overrides into one dict."""
-    fields = (*_COMMON_FIELDS, *experiment.inputs)
+    fields = ("experiment", "output", *experiment.inputs)
     config: dict = {}
     if args.config:
         raw = _load_json_arg("@" + args.config, "config")
@@ -231,24 +245,13 @@ def _merged_config(args, experiment: Experiment) -> dict:
 
 def _resolve(config: dict, experiment: Experiment, args) -> argparse.Namespace:
     """The run's validated, typed inputs from the merged config."""
-    workers = config.get("workers", 1)
-    if type(workers) is not int or workers < 1:
-        raise InputError("workers must be an integer >= 1")
-    if "seed" in config and type(config["seed"]) is not int:
-        raise InputError("seed must be an integer")
-    allow_degenerate = config.get("allow_degenerate", False)
-    if type(allow_degenerate) is not bool:
-        raise InputError("allow_degenerate must be true or false")
-    inp = argparse.Namespace(**dict.fromkeys(_INPUTS), workers=workers,
-                             allow_degenerate=allow_degenerate,
+    inp = argparse.Namespace(**{**dict.fromkeys(_INPUTS), **_OPTIONAL},
                              csv_out=getattr(args, "csv_out", None))
     for field in experiment.inputs:
-        if field not in config:
+        if field in config:
+            setattr(inp, field, _INPUTS[field][3](config[field]))
+        elif field not in _OPTIONAL:
             raise InputError(f"experiment {args.experiment} requires field {field!r}")
-        setattr(inp, field, _INPUTS[field][3](config[field]))
-    if inp.set is not None and "seed" in config and inp.set.kind == "uniform-random-integer":
-        inp.set = inp.set.with_seed(config["seed"])
-
     if experiment.desk_scale and not args.force_large:
         largest = max(inp.sizes or [inp.set.size])
         if largest > DESK_SCALE_LIMIT:

@@ -23,6 +23,8 @@ from .errors import ResourceCapError
 T = TypeVar("T")
 R = TypeVar("R")
 
+_CHILD_OUT_OF_MEMORY = 3  # exit status of a child that ran out of memory
+
 
 def forks_children(n_tasks: int, workers: int) -> bool:
     """Whether run_chunks runs some of ``n_tasks`` tasks in forked children."""
@@ -75,6 +77,8 @@ def _run_forked(fn, tasks, n):
                     with open(w, "wb") as pipe:
                         pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
                     code = 0
+                except MemoryError:  # say, in pickling the result
+                    code = _CHILD_OUT_OF_MEMORY
                 finally:
                     os._exit(code)
             os.close(w)  # a later child must not inherit it, or EOF waits for that child
@@ -86,6 +90,8 @@ def _run_forked(fn, tasks, n):
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped += 1
+            if code == _CHILD_OUT_OF_MEMORY:
+                raise MemoryError
             if code != 0:
                 how = f"signal {-code}" if code < 0 else f"exit code {code}"
                 raise ResourceCapError(f"a worker process died ({how}); "

@@ -141,9 +141,6 @@ class SetSpec(NamedTuple):
             raise InputError("explicit sets cannot be resized for a scan")
         return self._replace(size=size)
 
-    def with_seed(self, seed: int) -> "SetSpec":
-        return self._replace(seed=seed)
-
 
 def generate_set(spec: SetSpec) -> GroundSet:
     """Materialize a SetSpec; guarantees exactly ``size`` distinct elements."""

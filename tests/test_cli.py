@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quotlab
-from quotlab import bisectors, lines, quotients
+from quotlab import bisectors, cli, lines, quotients
 from quotlab.cli import main
 from quotlab.polynomials import Poly, bivariate_from_terms
 from quotlab.sets import GroundSet
@@ -73,8 +74,8 @@ def test_quotient_gate_and_allow_flag(tmp_path):
 
 
 def test_chain_rejects_degenerate_even_with_flag(tmp_path):
-    code, _ = run_cli(tmp_path, "chain", "--g", G_Y2, "--set", AP3,
-                      "--allow-degenerate")
+    # chain has no --allow-degenerate: no flag lets a degenerate g through
+    code, _ = run_cli(tmp_path, "chain", "--g", G_Y2, "--set", AP3)
     assert code == 2
 
 
@@ -377,11 +378,14 @@ def test_rich_points_and_incidence_results_bytes_are_unchanged(tmp_path):
     for experiment, digests, inputs in (
             ("rich-points", RICH_RESULTS_SHA256, ("--thresholds", "2,3,4")),
             ("incidences", INCIDENCE_RESULTS_SHA256, ("--points", INCIDENCE_POINTS))):
+        # incidences takes no --workers
+        worker_flags = [()] if experiment == "incidences" else [
+            ("--workers", "1"), ("--workers", "2")]
         for (g, start, size), digest in digests.items():
             spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": size})
-            for workers in ("1", "2"):
+            for workers in worker_flags:
                 code, report = run_cli(tmp_path, experiment, "--g", g, "--set", spec,
-                                       *inputs, "--workers", workers)
+                                       *inputs, *workers)
                 assert code == 0
                 assert results_sha256(report) == digest
 
@@ -667,29 +671,32 @@ def test_config_experiment_mismatch_rejected(tmp_path):
 # Per experiment: its input fields as config values, and its CSV flag.
 ROUND_TRIP = {
     "degeneracy": ({"g": json.loads(G_XY)}, None),
-    "quotient": ({"g": json.loads(G_X), "set": json.loads(AP3)}, "--values-out"),
-    "chain": ({"g": json.loads(G_XY), "set": json.loads(AP3)}, "--histogram-out"),
-    "rich-points": ({"g": json.loads(G_XY), "set": json.loads(AP3), "thresholds": [2, 3]},
-                    "--points-out"),
+    "quotient": ({"g": json.loads(G_X), "set": json.loads(AP3), "workers": 2,
+                  "allow_degenerate": True}, "--values-out"),
+    "chain": ({"g": json.loads(G_XY), "set": json.loads(AP3), "workers": 2},
+              "--histogram-out"),
+    "rich-points": ({"g": json.loads(G_XY), "set": json.loads(AP3), "thresholds": [2, 3],
+                     "workers": 2}, "--points-out"),
     "incidences": ({"g": json.loads(G_X), "set": json.loads(AP3),
                     "points": [["0", "0"], ["1", "1/2"], ["2", "0"]]}, None),
-    "exponent-scan": ({"g": json.loads(G_X), "set": json.loads(AP3), "sizes": [4, 8]},
-                      "--scan-out"),
+    "exponent-scan": ({"g": json.loads(G_X), "set": json.loads(AP3), "sizes": [4, 8],
+                       "workers": 2, "allow_degenerate": True}, "--scan-out"),
     "bisector": ({"set": {"kind": "uniform-random-integer", "range": [1, 60], "size": 6,
-                          "seed": 1}}, "--intercepts-out"),
+                          "seed": 5}, "workers": 2}, "--intercepts-out"),
 }
 
 
 @pytest.mark.parametrize("experiment", list(ROUND_TRIP))
 def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
     fields, csv_flag = ROUND_TRIP[experiment]
-    flags = [experiment, "--workers", "2", "--seed", "5", "--allow-degenerate"]
+    flags = [experiment]
     for field, value in fields.items():
-        text = ",".join(map(str, value)) if field in ("sizes", "thresholds") else json.dumps(value)
-        flags += [f"--{field}", text]
+        flags.append("--" + field.replace("_", "-"))
+        if value is not True:  # an on/off flag takes no value
+            flags.append(",".join(map(str, value)) if field in ("sizes", "thresholds")
+                         else json.dumps(value))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"experiment": experiment, "workers": 2, "seed": 5,
-                                  "allow_degenerate": True, **fields}))
+    config.write_text(json.dumps({"experiment": experiment, **fields}))
     runs = []
     for name, argv in (("flags", flags), ("config", [experiment, "--config", str(config)])):
         (tmp_path / name).mkdir()
@@ -700,7 +707,9 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
         runs.append((report["results"], report["config"],
                      csv_path.read_bytes() if csv_flag else None))
     assert runs[0] == runs[1]
-    assert runs[0][1]["workers"] == 2 and runs[0][1]["allow_degenerate"] is True
+    echoed = {field: runs[0][1].get(field) for field in ("workers", "allow_degenerate")}
+    assert echoed == {"workers": fields.get("workers"),
+                      "allow_degenerate": fields.get("allow_degenerate")}
     if experiment == "bisector":
         assert runs[0][1]["set"]["seed"] == 5
     if csv_flag:
@@ -712,7 +721,6 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
     ("exponent-scan", {"sizes": "8,16"}, [], "sizes must be a nonempty list of integers"),
     ("rich-points", {"thresholds": 3}, [], "thresholds must be a nonempty list of integers"),
     ("chain", {"workers": True}, [], "workers must be an integer >= 1"),
-    ("quotient", {"seed": "7"}, [], "seed must be an integer"),
     ("quotient", {"g": json.loads(G_Y2), "allow_degenerate": "no"}, [],
      "allow_degenerate must be true or false"),
     ("quotient", {"set": {"kind": "arithmetic", "size": True}}, [],
@@ -725,7 +733,7 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
      "term exponents must be nonnegative integers: {'c': '1', 'i': True, 'j': 1}"),
     ("quotient", {"g": [{"c": "1", "i": 1, "j": False}]}, [],
      "term exponents must be nonnegative integers: {'c': '1', 'i': 1, 'j': False}"),
-], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool", "seed-string",
+], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool",
         "allow-degenerate-string", "set-size-bool", "set-range-bool", "set-seed-bool",
         "g-exponent-true", "g-exponent-false"])
 def test_malformed_typed_field_is_input_error(tmp_path, capsys, experiment, fields, flags,
@@ -761,7 +769,7 @@ def test_degenerate_g_names_the_override_only_where_it_applies(capsys):
     for argv, overridable in (
             (["quotient", "--g", G_Y2, "--set", AP3], True),
             (["exponent-scan", "--g", G_Y2, "--set", AP3, "--sizes", "4,8"], True),
-            (["chain", "--g", G_Y2, "--set", AP3, "--allow-degenerate"], False)):
+            (["chain", "--g", G_Y2, "--set", AP3], False)):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hypothesis violation: theorem hypotheses violated: g has no")
@@ -1003,13 +1011,83 @@ def test_desk_scale_guardrail(tmp_path):
     assert code == 1
 
 
-def test_seed_override_changes_random_set(tmp_path):
-    spec = '{"kind":"uniform-random-integer","range":[1,1000],"size":6,"seed":1}'
-    _, first = run_cli(tmp_path, "quotient", "--g", G_X, "--set", spec)
-    _, second = run_cli(tmp_path, "quotient", "--g", G_X, "--set", spec,
-                        "--seed", "99")
-    assert first["config"]["set"]["seed"] == 1
-    assert second["config"]["set"]["seed"] == 99
+@pytest.mark.parametrize("experiment, inputs", [
+    ("quotient", ["--g", G_XY]),
+    ("rich-points", ["--g", G_XY, "--thresholds", "2"]),
+    ("bisector", []),
+])
+def test_quartic_experiments_refuse_a_set_past_the_desk_scale(tmp_path, monkeypatch, capsys,
+                                                               experiment, inputs):
+    calls = count_kernel_calls(monkeypatch)
+    big = '{"kind":"arithmetic","start":1,"step":1,"size":129}'
+    code, report = run_cli(tmp_path, experiment, *inputs, "--set", big)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == (
+        f"error: |A| = 129 exceeds the desk-scale limit 128 for {experiment} "
+        "(quartic work); pass --force-large to proceed\n")
+    assert calls == {"histogram": 0, "quotient": 0, "sweep": 0}
+    monkeypatch.setattr(cli, "DESK_SCALE_LIMIT", 3)
+    four = '{"kind":"arithmetic","start":1,"step":1,"size":4}'
+    code, report = run_cli(tmp_path, experiment, *inputs, "--set", four)
+    assert code == 1
+    assert report is None
+    code, report = run_cli(tmp_path, experiment, *inputs, "--set", four, "--force-large")
+    assert code == 0
+    assert report["results"]["size_a"] == 4
+
+
+# each experiment's flags, in the order --help lists them
+FLAGS = {
+    "degeneracy": "--config --out --g",
+    "quotient": "--config --out --g --set --workers --allow-degenerate --force-large "
+                "--values-out",
+    "chain": "--config --out --g --set --workers --force-large --histogram-out",
+    "rich-points": "--config --out --g --set --thresholds --workers --force-large "
+                   "--points-out",
+    "incidences": "--config --out --g --set --points",
+    "exponent-scan": "--config --out --g --set --sizes --workers --allow-degenerate "
+                     "--force-large --scan-out",
+    "bisector": "--config --out --set --workers --force-large --intercepts-out",
+}
+
+
+def test_each_experiment_takes_exactly_its_flags():
+    (subcommands,) = [action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    taken = {name: " ".join(flag for action in sub._actions for flag in action.option_strings
+                            if flag not in ("-h", "--help"))
+             for name, sub in subcommands.choices.items()}
+    assert taken == FLAGS
+    assert sum(len(flags.split()) for flags in taken.values()) == 46
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["degeneracy", "--g", G_XY], ["--workers", "2"]),
+    (["incidences", "--g", G_X, "--set", AP3, "--points", '[["0","0"]]'], ["--workers", "2"]),
+    (["chain", "--g", G_XY, "--set", AP3], ["--allow-degenerate"]),
+    (["bisector", "--set", AP3], ["--allow-degenerate"]),
+    (["quotient", "--g", G_X, "--set", AP3], ["--seed", "3"]),
+], ids=["degeneracy-workers", "incidences-workers", "chain-allow-degenerate",
+        "bisector-allow-degenerate", "quotient-seed"])
+def test_flag_the_experiment_does_not_read_is_refused(tmp_path, capsys, argv, refused):
+    code, report = run_cli(tmp_path, *argv, *refused)
+    assert code == 1
+    assert report is None
+    assert f"error: unrecognized arguments: {' '.join(refused)}\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, field", [
+    ("degeneracy", "workers"), *((experiment, "seed") for experiment in FLAGS)])
+def test_config_setting_the_experiment_does_not_read_is_refused(tmp_path, capsys,
+                                                                experiment, field):
+    config = dict(ROUND_TRIP[experiment][0], **{field: 2})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, report = run_cli(tmp_path, experiment, "--config", str(path))
+    assert code == 1
+    assert report is None
+    assert f"error: unknown config field(s): ['{field}']\n" == capsys.readouterr().err
 
 
 def test_reports_deterministic_across_workers_and_reruns(tmp_path):

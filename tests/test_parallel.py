@@ -126,6 +126,19 @@ def test_memory_error_in_a_child_is_a_resource_cap_error():
         run_chunks(body, [1, 2], workers=2)
 
 
+class Heavy:
+    """A result that runs out of memory as it is pickled."""
+
+    def __reduce__(self):
+        raise MemoryError
+
+
+def test_child_out_of_memory_in_pickling_its_result_is_reported_as_such():
+    # not as a worker that died with exit code 1
+    with pytest.raises(ResourceCapError, match="out of memory; use a smaller set"):
+        run_chunks(lambda task: Heavy(), [1, 2], workers=2)
+
+
 def test_memory_error_is_a_resource_cap_error():
     def exhausted(task):
         raise MemoryError

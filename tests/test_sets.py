@@ -46,7 +46,8 @@ def test_random_set_deterministic():
 
 def test_random_set_seed_changes_content():
     base = spec_of(kind="uniform-random-integer", range=[1, 1000], size=12, seed=1)
-    assert generate_set(base) != generate_set(base.with_seed(2))
+    other = spec_of(kind="uniform-random-integer", range=[1, 1000], size=12, seed=2)
+    assert generate_set(base) != generate_set(other)
 
 
 def test_random_range_too_small():
