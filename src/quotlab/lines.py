@@ -5,9 +5,11 @@ is a multiset: pairs sharing slope and intercept merge into one stored
 line carrying their count, its multiplicity m.  The point weight n(x, y)
 counts the lines through (x, y) *with* multiplicity.
 
-A family is one integer table (LineMultiset.table), grouped by slope:
-slopes S = s*lb, intercepts C = c*lc, and the abscissa scale M, the lcm
-of all slope differences.  build_lines makes every family, from integer
+A family is one integer table in six named fields of LineMultiset,
+grouped by slope: ``slopes`` S = s*lb, ascending, with their scale
+``lb``; ``intercepts`` C = c*lc and ``mults`` m, one ascending list per
+slope, with the scale ``lc``; and ``xscale`` M, the lcm of all slope
+differences.  build_lines makes every family, from integer
 evaluations of g: the denominators of A, B and g's coefficients are
 cleared once, g is evaluated |A||B| times on the integer grid, equal
 (slope, intercept) integers merge, and LineMultiset(columns, lb, lc)
@@ -77,60 +79,57 @@ class Line(NamedTuple):
 class LineMultiset:
     """Distinct lines with multiplicities; total weight = sum of them.
 
-    ``table`` is the family (see the module docstring), read off
-    ``columns``, scaled slope s*lb -> {scaled intercept c*lc: multiplicity}:
-    (SB, LB, intercept lists, multiplicity lists, LC, M), one list per slope
-    in ascending order, each ascending.  The common factor of lc and every
-    scaled intercept is divided out, so that LC is the lcm of the
-    intercepts' denominators.  build_lines makes every family."""
+    The fields are the family's table (see the module docstring), read
+    off ``columns``, scaled slope s*lb -> {scaled intercept c*lc:
+    multiplicity}.  The common factor of lc and every scaled intercept is
+    divided out, so that ``lc`` is the lcm of the intercepts'
+    denominators.  build_lines makes every family."""
 
-    __slots__ = ("table",)
+    __slots__ = ("slopes", "lb", "intercepts", "mults", "lc", "xscale")
 
     def __init__(self, columns: dict[int, dict[int, int]], lb: int, lc: int):
         h = gcd(lc, *(c for column in columns.values() for c in column))
-        sb = sorted(columns)
-        sc_lists, mult_lists = [], []
+        self.slopes = sb = sorted(columns)
+        self.intercepts, self.mults = [], []
         for s in sb:
             column = columns[s]
             cs = sorted(column)
-            sc_lists.append([c // h for c in cs])
-            mult_lists.append([column[c] for c in cs])
-        xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
-        self.table = (sb, lb, sc_lists, mult_lists, lc // h, xscale)
+            self.intercepts.append([c // h for c in cs])
+            self.mults.append([column[c] for c in cs])
+        self.lb, self.lc = lb, lc // h
+        self.xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
 
     @property
     def lines(self) -> tuple[Line, ...]:
         """The lines as Fractions, sorted by (slope, intercept), built on
         each read."""
-        sb, lb, sc_lists, mult_lists, lc, _xscale = self.table
         lines: list[Line] = []
-        for s, cs, ms in zip(sb, sc_lists, mult_lists):
-            slope = Fraction(s, lb)
-            lines += [Line(slope, Fraction(c, lc), m) for c, m in zip(cs, ms)]
+        for s, cs, ms in zip(self.slopes, self.intercepts, self.mults):
+            slope = Fraction(s, self.lb)
+            lines += [Line(slope, Fraction(c, self.lc), m) for c, m in zip(cs, ms)]
         return tuple(lines)
 
     def __len__(self) -> int:
-        return sum(map(len, self.table[2]))
+        return sum(map(len, self.intercepts))
 
     @property
     def total_weight(self) -> int:
-        return sum(map(sum, self.table[3]))
+        return sum(map(sum, self.mults))
 
     @property
     def max_multiplicity(self) -> int:
-        return max((max(ms) for ms in self.table[3]), default=0)
+        return max((max(ms) for ms in self.mults), default=0)
 
     def squared_multiplicity_total(self) -> int:
         """Sum of m^2 over distinct lines: the weight of same-line
         instance pairs, and the per-abscissa floor of sum_y n(x,y)^2."""
-        return sum(m * m for ms in self.table[3] for m in ms)
+        return sum(m * m for ms in self.mults for m in ms)
 
     @property
     def key_scale(self) -> tuple[int, int]:
         """(num, den) with x = key * num / den for an abscissa key, and
         y = key / den for the y key of a point (see crossing_weights)."""
-        _sb, lb, _sc, _mults, lc, xscale = self.table
-        return lb, lc * xscale
+        return self.lb, self.lc * self.xscale
 
 
 def _scaled_values(g: Poly, ground_a: GroundSet, ground_b: GroundSet):
@@ -176,12 +175,11 @@ def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultis
     if out.total_weight != len(ground_a) * len(ground_b):
         raise InternalCheckError("line multiset lost weight during merging")
     # the anchor: g's own evaluation gives a line of the table at sampled pairs
-    sb, lb, sc_lists, _mults, lc, _xscale = out.table
-    classes = dict(zip(sb, sc_lists))
+    classes = dict(zip(out.slopes, out.intercepts))
     for a in _ends_and_middle(ground_a):
         for b in _ends_and_middle(ground_b):
             value = g.evaluate((a, b))
-            if -value * lc not in classes.get(b * lb, ()):
+            if -value * out.lc not in classes.get(b * out.lb, ()):
                 raise InternalCheckError(
                     f"the line table disagrees with g({a}, {b}) = {value}")
     return out
@@ -189,12 +187,12 @@ def build_lines(g: Poly, ground_a: GroundSet, ground_b: GroundSet) -> LineMultis
 
 def vertical_section(family: LineMultiset, x: Fraction) -> dict[int, int]:
     """Map y * lb * lc * den(x) -> n(x, y) on the vertical line at x, an
-    integer key per distinct y (lb, lc of ``family.table``); values sum
+    integer key per distinct y (``family.lb``, ``family.lc``); values sum
     to |A||B|."""
-    sb, lb, sc_lists, mult_lists, lc, _xscale = family.table
+    lb, lc = family.lb, family.lc
     p, q = x.numerator, x.denominator
     counts: dict[int, int] = {}
-    for s, cs, ms in zip(sb, sc_lists, mult_lists):
+    for s, cs, ms in zip(family.slopes, family.intercepts, family.mults):
         base, f = s * p * lc, lb * q
         for c, m in zip(cs, ms):
             y = base + c * f
@@ -210,8 +208,7 @@ def _pair_keys_chunk(args):
     i in [lo, hi), to ``collect()``: a set of the distinct keys, or a
     Counter of the pairs per key.
     """
-    table, lo, hi, collect = args
-    sb, columns, xscale = table
+    (sb, columns, xscale), lo, hi, collect = args
     out = collect()
     for i in range(lo, hi):
         for j in range(i + 1, len(sb)):
@@ -226,8 +223,7 @@ def pair_keys(family: LineMultiset, columns: list[list[int]], collect, workers: 
     per slope class of ``family``): the first shard's ``collect()``, with
     the other shards' parts folded into it in range order, so that no copy
     of the result is made."""
-    sb, _lb, _sc, _mults, _lc, xscale = family.table
-    tasks = [((sb, columns, xscale), lo, hi, collect)
+    tasks = [((family.slopes, columns, family.xscale), lo, hi, collect)
              for lo, hi in _class_shards(family, workers)]
     merged, *rest = run_chunks(_pair_keys_chunk, tasks, workers)
     for part in rest:
@@ -251,9 +247,9 @@ def _sweep_chunk(args):
     Returns (line pairs, {n: points}, {abscissa key: pairs} or None,
     {(x key, y key): n} or None); the module docstring has the identities.
     """
-    table, lo, hi, per_abscissa, keep_points = args
-    sb, _lb, sc_lists, mult_lists, _lc, xscale = table
-    unit = all(m == 1 for mults in mult_lists for m in mults)
+    family, lo, hi, per_abscissa, keep_points = args
+    sb, xscale, intercepts, mults = family.slopes, family.xscale, family.intercepts, family.mults
+    unit = all(m == 1 for ms in mults for m in ms)
     pairs = 0
     weights: Counter = Counter()
     # unit multiplicities: the shard's groups by size c (m = 1, M_l = c), read at the end
@@ -263,12 +259,12 @@ def _sweep_chunk(args):
     for i in range(lo, hi):
         above = range(i + 1, len(sb))
         factors = [xscale // (sb[j] - sb[i]) for j in above]
-        scaled = [[c * f for c in sc_lists[j]] for f, j in zip(factors, above)]
+        scaled = [[c * f for c in intercepts[j]] for f, j in zip(factors, above)]
         # each line repeated by its multiplicity, so that counts are masses
         heavy = scaled if unit else [
-            [v for v, m in zip(column, mult_lists[j]) for _ in range(m)]
+            [v for v, m in zip(column, mults[j]) for _ in range(m)]
             for column, j in zip(scaled, above)]
-        for c, m in zip(sc_lists[i], mult_lists[i]):
+        for c, m in zip(intercepts[i], mults[i]):
             keys = _line_keys(c, factors, scaled)
             pairs += len(keys)
             groups = Counter(keys)  # distinct lines per group
@@ -335,7 +331,7 @@ def crossing_pair_count(family: LineMultiset) -> int:
     """Pairs of distinct lines with different slopes: the sum over slope
     classes i < j of |class i| * |class j|.  Each such pair meets in one
     point, and the sweep visits each such pair once."""
-    sizes = [len(cs) for cs in family.table[2]]
+    sizes = [len(cs) for cs in family.intercepts]
     total = sum(sizes)
     return (total * total - sum(s * s for s in sizes)) // 2
 
@@ -345,8 +341,10 @@ def _class_shards(family: LineMultiset, workers: int) -> list[tuple[int, int]]:
     contiguous ranges of slope classes, each closed once the ranges so far
     hold their share of the line pairs (class i pairs |class i| times the
     lines above it).  A family of one slope class gets one empty range, so
-    that its results keep their form."""
-    sizes = [len(cs) for cs in family.table[2]]
+    that its results keep their form.  ``workers`` < 1 is refused."""
+    if workers < 1:
+        raise InputError("workers must be an integer >= 1")
+    sizes = [len(cs) for cs in family.intercepts]
     above, total = sum(sizes), crossing_pair_count(family)
     shards: list[tuple[int, int]] = []
     start = done = 0
@@ -397,7 +395,7 @@ def crossing_weights(family: LineMultiset, workers: int = 1, *,
     off its histogram); the sweep then also counts pairs per abscissa key.
     ``points`` keeps every crossing point."""
     check_crossing_memory(family, workers, support_size or 0, points)
-    tasks = [(family.table, lo, hi, support_size is not None, points)
+    tasks = [(family, lo, hi, support_size is not None, points)
              for lo, hi in _class_shards(family, workers)]
     return CrossingWeights(run_chunks(_sweep_chunk, tasks, workers), family.key_scale)
 
@@ -432,13 +430,13 @@ def incidences(points: Iterable[tuple[Fraction, Fraction]], family: LineMultiset
     """Exact incidence count, the sum over points of n(point), with the
     classical n^(2/3) m^(2/3) + n + m reference value alongside."""
     pts = list(points)
-    sb, lb, sc_lists, mult_lists, lc, _xscale = family.table
-    columns = [dict(zip(cs, ms)) for cs, ms in zip(sc_lists, mult_lists)]
+    lb, lc = family.lb, family.lc
+    columns = [dict(zip(cs, ms)) for cs, ms in zip(family.intercepts, family.mults)]
     count = 0
     for x, y in pts:
         # (p/q, u/v) is on the line (s, c) of the table when c*lb*q*v = u*lb*lc*q - s*p*lc*v
         p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
-        for s, column in zip(sb, columns):
+        for s, column in zip(family.slopes, columns):
             c, off = divmod(u * lb * lc * q - s * p * lc * v, lb * q * v)
             if not off:
                 count += column.get(c, 0)

@@ -91,7 +91,7 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     g(a1, b_i) and g(a2, b_j) cross at x = (c_i - c_j) / (b_j - b_i) with
     c = -g(a, b), which is minus the quotient: X is the negated keys."""
     family = build_lines(g, ground, ground)
-    return QuotientSet(pair_keys(family, family.table[2], set, workers), family.key_scale)
+    return QuotientSet(pair_keys(family, family.intercepts, set, workers), family.key_scale)
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
@@ -100,10 +100,9 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
-    sc_lists, mult_lists = family.table[2:4]
     # each line repeated by its multiplicity, so that the walk counts value pairs
     expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
-                for cs, ms in zip(sc_lists, mult_lists)]
+                for cs, ms in zip(family.intercepts, family.mults)]
     # each unordered slope pair stands for both ordered ones: Q = 2 * pairs
     merged = pair_keys(family, expanded, Counter, workers)
     return QuadrupleHistogram(merged, family.key_scale)
@@ -270,8 +269,9 @@ def exponent_scan(g: Poly, family: SetSpec, sizes: Sequence[int],
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("scan sizes must be strictly increasing")
     require_nondegenerate(g, allow_degenerate)
-    counts = [len(quotient_set(g, generate_set(family.with_size(size)), workers=workers))
-              for size in sizes]
+    # every set is made, and a size it cannot have refused, before the first walk
+    grounds = [generate_set(family.with_size(size)) for size in sizes]
+    counts = [len(quotient_set(g, ground, workers=workers)) for ground in grounds]
     rows = [{"size": n, "quotients": m,
              "log_size": math.log(n), "log_quotients": math.log(m)}
             for n, m in zip(sizes, counts)]

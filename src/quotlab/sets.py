@@ -9,9 +9,8 @@ an explicit value list.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InputError
 from .rationals import as_rational, format_rational
@@ -19,47 +18,27 @@ from .rationals import as_rational, format_rational
 SET_KINDS = ("arithmetic", "geometric", "uniform-random-integer", "explicit")
 
 
-class GroundSet:
+class GroundSet(tuple):
     """Sorted tuple of distinct rationals."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
-    def __init__(self, values: Iterable[Fraction]):
-        vals = tuple(sorted(values))
+    def __new__(cls, values: Iterable[Fraction]):
+        vals = sorted(values)
         for a, b in zip(vals, vals[1:]):
             if a == b:
                 raise InputError(f"ground set has duplicate element {format_rational(a)}")
-        self.values = vals
+        return super().__new__(cls, vals)
 
     @classmethod
     def of(cls, *values) -> "GroundSet":
         return cls(as_rational(v) for v in values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __contains__(self, value) -> bool:
-        value = as_rational(value)
-        i = bisect_left(self.values, value)
-        return i < len(self.values) and self.values[i] == value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroundSet) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __repr__(self) -> str:
-        inner = ", ".join(format_rational(v) for v in self.values[:8])
-        if len(self.values) > 8:
+        inner = ", ".join(format_rational(v) for v in self[:8])
+        if len(self) > 8:
             inner += ", ..."
-        return f"GroundSet({{{inner}}}, size={len(self.values)})"
+        return f"GroundSet({{{inner}}}, size={len(self)})"
 
 
 class SetSpec(NamedTuple):

@@ -114,8 +114,7 @@ def brute_vertical_section(g: Poly, ground_a: GroundSet, ground_b: GroundSet,
 def section_by_y(family: LineMultiset, x: Fraction) -> dict[Fraction, int]:
     """vertical_section(family, x) keyed by y: each integer key divided by
     lb * lc * den(x)."""
-    _sb, lb, _sc, _mults, lc, _xscale = family.table
-    den = lb * lc * x.denominator
+    den = family.lb * family.lc * x.denominator
     return {Fraction(y, den): n for y, n in vertical_section(family, x).items()}
 
 

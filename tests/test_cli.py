@@ -1037,6 +1037,20 @@ def test_quartic_experiments_refuse_a_set_past_the_desk_scale(tmp_path, monkeypa
     assert report["results"]["size_a"] == 4
 
 
+def test_exponent_scan_makes_every_set_before_its_first_walk(tmp_path, monkeypatch, capsys):
+    walks = []
+    walk = quotients.quotient_set
+    monkeypatch.setattr(quotients, "quotient_set",
+                        lambda *args, **kwargs: walks.append(args) or walk(*args, **kwargs))
+    spec = '{"kind":"uniform-random-integer","size":8,"range":[1,100],"seed":0}'
+    code, report = run_cli(tmp_path, "exponent-scan", "--g", G_XY, "--set", spec,
+                           "--sizes", "8,16,32,64,101")
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err == "error: range [1, 100] smaller than requested size 101\n"
+    assert walks == []
+
+
 # each experiment's flags, in the order --help lists them
 FLAGS = {
     "degeneracy": "--config --out --g",
@@ -1137,23 +1151,37 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["results"]["degenerate"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ["chain", "--g", G_X2_PLUS_Y, "--set", AP3, "--workers", "2", "--histogram-out"],
-    ["bisector", "--set", AP3, "--intercepts-out"],
+SIX = '{"kind":"arithmetic","start":1,"step":1,"size":6}'
+
+
+@pytest.mark.parametrize("argv, spans_seen, counts", [
+    (["chain", "--g", G_X2_PLUS_Y, "--set", SIX, "--workers", "2", "--histogram-out"],
+     {"lines.build_lines", "quotients.verify_chain", "lines.crossing_weights",
+      "parallel.run_chunks"},
+     lambda results: {"lines.distinct_lines": 36}),
+    (["bisector", "--set", SIX, "--intercepts-out"],
+     {"bisectors.bisector_intercept_set"},
+     lambda results: {"bisectors.intercepts": results["intercepts"],
+                      "bisectors.pairs_considered": results["pairs_considered"]}),
 ], ids=["chain", "bisector"])
-def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv):
-    # perfbench/tracer.py wraps functions of src by name: a rename breaks it
+def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv, spans_seen, counts):
+    # perfbench/tracer.py wraps functions of src by name and reads Line and
+    # LineMultiset.lines, len() of each kernel result, InterceptSet.pairs_considered
+    # and run_chunks' positional arguments: a rename or a reshaped type breaks it
     src = Path(quotlab.__file__).resolve().parent.parent
     tracer = src.parent / "perfbench" / "tracer.py"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    spans = tmp_path / "spans.json"
+    spans, report = tmp_path / "spans.json", tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, str(tracer), str(spans), *argv, str(tmp_path / "out.csv"),
-         "--out", str(tmp_path / "report.json")],
+         "--out", str(report)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(spans.read_text())["spans"]
+    data = json.loads(spans.read_text())
+    assert spans_seen <= {s["name"] for s in data["spans"]}
+    want = counts(json.loads(report.read_text())["results"])
+    assert {name: data["counters"][name] for name in want} == want
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():

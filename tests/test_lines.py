@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotlab import lines
+from quotlab.bisectors import bisector_intercept_set
 from quotlab.errors import InputError, ResourceCapError
 from quotlab.lines import (Line, build_lines, check_crossing_memory, crossing_pair_count,
                            crossing_weights, incidences, rich_point_reports,
                            vertical_section)
 from quotlab.polynomials import Poly
-from quotlab.quotients import quadruple_histogram, quotient_set
+from quotlab.quotients import exponent_scan, quadruple_histogram, quotient_set, verify_chain
 from quotlab.reports import points_csv_rows
-from quotlab.sets import GroundSet
+from quotlab.sets import GroundSet, SetSpec
 
 from oracles import (brute_energy, brute_incidences, brute_intersection_points,
                      brute_vertical_section, energy_restricted, family_of, instance_lines,
@@ -211,6 +212,23 @@ def test_class_shards_are_contiguous_shares_of_the_line_pairs():
     assert lines._class_shards(single, 2) == [(0, 0)]
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_every_kernel_refuses_fewer_than_one_worker(workers):
+    # the CLI's rule and message, held by the one partitioner every kernel calls
+    ground = GroundSet.of(*range(1, 5))
+    family = build_lines(G_XY, ground, ground)
+    spec = SetSpec.from_dict({"kind": "arithmetic", "start": 1, "step": 1, "size": 4})
+    kernels = [lambda: quotient_set(G_XY, ground, workers=workers),
+               lambda: quadruple_histogram(family, workers=workers),
+               lambda: crossing_weights(family, workers=workers),
+               lambda: bisector_intercept_set(ground, workers=workers),
+               lambda: verify_chain(G_XY, ground, workers=workers),
+               lambda: exponent_scan(G_XY, spec, [2, 4], workers=workers)]
+    for kernel in kernels:
+        with pytest.raises(InputError, match=r"^workers must be an integer >= 1$"):
+            kernel()
+
+
 def test_every_kernel_takes_its_tasks_from_the_class_shards(monkeypatch):
     seen = []
 
@@ -252,7 +270,7 @@ def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
                     made.append(kind())
                     return made[-1]
 
-                merged = lines.pair_keys(family, family.table[2], collect, workers)
+                merged = lines.pair_keys(family, family.intercepts, collect, workers)
                 assert len(made) == len(lines._class_shards(family, workers))
                 assert merged is parts[0]
             assert quadruple_histogram(family, workers=workers).pairs_by_key is parts[0]

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from quotlab.lines import Line, build_lines, crossing_weights, rich_point_reports
+from quotlab.lines import (Line, LineMultiset, build_lines, crossing_weights,
+                           rich_point_reports)
 from quotlab.polynomials import Poly
 from quotlab.quotients import verify_chain
 from quotlab.reports import points_csv_rows
@@ -74,9 +75,9 @@ def brute_chain(g, ground):
 
 
 def test_families_have_the_property_they_stand_for():
-    assert build_lines(G_XY, RANDOM_16, RANDOM_16).table[5].bit_length() > 1000
-    _sb, lb, _sc, _mults, lc, _xscale = build_lines(G_XY, RATIONALS, RATIONALS).table
-    assert lb != 1 and lc != 1
+    assert build_lines(G_XY, RANDOM_16, RANDOM_16).xscale.bit_length() > 1000
+    rational = build_lines(G_XY, RATIONALS, RATIONALS)
+    assert rational.lb != 1 and rational.lc != 1
     for name, multiplicity in (("multiplicity-2", 2), ("multiplicity-|A|", 8)):
         g, ground = FAMILIES[name]
         assert build_lines(g, ground, ground).max_multiplicity == multiplicity
@@ -92,7 +93,8 @@ def test_table_from_g_equals_the_table_of_the_instance_lines(name):
     merged = Counter(instance_lines(g, ground_a, ground_b))
     expected = family_of([Line(s, c, m) for (s, c), m in merged.items()])
     family = build_lines(g, ground_a, ground_b)
-    assert family.table == expected.table
+    for field in LineMultiset.__slots__:
+        assert getattr(family, field) == getattr(expected, field), field
     assert family.lines == expected.lines
     assert family.total_weight == len(ground_a) * len(ground_b)
 
