@@ -733,20 +733,56 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
      "term exponents must be nonnegative integers: {'c': '1', 'i': True, 'j': 1}"),
     ("quotient", {"g": [{"c": "1", "i": 1, "j": False}]}, [],
      "term exponents must be nonnegative integers: {'c': '1', 'i': 1, 'j': False}"),
+    ("quotient", {}, ["--set", "5"], "set spec must be an object"),
+    ("quotient", {"set": {"kind": "explicit", "values": []}}, [],
+     "explicit set needs a nonempty 'values' list"),
+    ("quotient", {"g": json.loads(G_XY), "set": {"kind": "arithmetic", "size": 3, "step": 0}},
+     [], "arithmetic step 0 cannot produce distinct elements"),
+    ("quotient", {"g": json.loads(G_XY), "set": {"kind": "geometric", "size": 3, "ratio": 1}},
+     [], "geometric set with ratio 0 or 1 (or start 0) is not distinct"),
+    ("quotient", {"g": json.loads(G_XY), "set": {"kind": "geometric", "size": 3, "ratio": -1}},
+     [], "geometric spec does not produce 3 distinct elements"),
+    ("exponent-scan", {"g": json.loads(G_XY)}, ["--sizes", "1,8"],
+     "scan sizes must be integers >= 2"),
+    ("exponent-scan", {}, ["--sizes", "8,x"], "sizes must be a comma-separated integer list"),
+    ("incidences", {}, ["--points", "[1]"], "bad point entry: 1"),
+    ("incidences", {}, ["--points", "{}"], "points must be a list of [x, y] pairs"),
+    ("quotient", [], [], "config must be a JSON object"),
+    ("quotient", {}, ["--g", "{}"], "polynomial must be a list of term objects"),
+    ("quotient", {}, ["--g", "@missing.json"],
+     "cannot read polynomial file: [Errno 2] No such file or directory: 'missing.json'"),
 ], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool",
         "allow-degenerate-string", "set-size-bool", "set-range-bool", "set-seed-bool",
-        "g-exponent-true", "g-exponent-false"])
-def test_malformed_typed_field_is_input_error(tmp_path, capsys, experiment, fields, flags,
-                                              message):
+        "g-exponent-true", "g-exponent-false", "set-not-object", "explicit-empty",
+        "arithmetic-step-zero", "geometric-ratio-one", "geometric-ratio-minus-one",
+        "scan-size-one", "sizes-flag-not-integer", "point-not-pair", "points-not-list",
+        "config-not-object", "g-not-list", "g-file-missing"])
+def test_malformed_typed_field_is_input_error(tmp_path, capsys, monkeypatch, experiment,
+                                              fields, flags, message):
+    monkeypatch.chdir(tmp_path)  # relative paths in flags resolve here
+    base = {"g": json.loads(G_X),
+            "set": {"kind": "uniform-random-integer", "range": [1, 60], "size": 4, "seed": 1}}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "g": json.loads(G_X),
-        "set": {"kind": "uniform-random-integer", "range": [1, 60], "size": 4, "seed": 1},
-        **fields}))
+    # fields that are not an object are the whole config
+    config.write_text(json.dumps({**base, **fields} if isinstance(fields, dict) else fields))
     code, report = run_cli(tmp_path, experiment, "--config", str(config), *flags)
     assert code == 1
     assert report is None
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, echo", [
+    ({"kind": "geometric", "size": 3},
+     {"kind": "geometric", "size": 3, "start": "1", "ratio": "2"}),
+    ({"kind": "uniform-random-integer", "range": [1, 60], "size": 4},
+     {"kind": "uniform-random-integer", "size": 4, "range": [1, 60], "seed": 0}),
+    ({"kind": "explicit", "values": [2, "4/6", "-0"]},
+     {"kind": "explicit", "values": ["2", "2/3", "0"]}),
+], ids=["geometric-defaults", "random-seed-default", "explicit-canonical-values"])
+def test_set_spec_echo_is_canonical_with_defaults(tmp_path, spec, echo):
+    code, report = run_cli(tmp_path, "bisector", "--set", json.dumps(spec))
+    assert code == 0
+    assert report["config"]["set"] == echo
 
 
 @pytest.mark.parametrize("experiment, config", [
