@@ -56,7 +56,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .parallel import forks_children, run_chunks
+from .parallel import run_chunks
 from .polynomials import Poly
 from .rationals import format_rational
 from .sets import GroundSet
@@ -367,11 +367,11 @@ def check_crossing_memory(family: LineMultiset, workers: int, support_size: int 
     """Refuse, before the sweep runs, a sweep whose estimated peak exceeds
     physical memory: (|L| + |X|) entries per part, plus, for materialized
     points, one point per line pair of distinct slopes (a bound on their
-    number).  Run inline, the sweep holds one part.  With forked children
-    it holds n_shards + 1: one per shard, in the process that ran it or,
-    once read in, in the parent, plus the part being read in."""
+    number).  One shard holds one part; more hold n_shards + 1: one per
+    shard, where it ran or, once read in, in the parent, plus the part
+    being read in (run inline, the parent holds them all until the merge)."""
     n_shards = len(_class_shards(family, workers))
-    parts = n_shards + 1 if forks_children(n_shards, workers) else 1
+    parts = n_shards + 1 if n_shards > 1 else 1
     estimate = (len(family) + support_size) * SWEEP_ENTRY_BYTES * parts
     detail = (f"({len(family)} lines + {support_size} abscissas) x {SWEEP_ENTRY_BYTES} B "
               f"x {parts}")

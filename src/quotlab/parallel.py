@@ -7,8 +7,8 @@ child made by ``os.fork``, which sends its pickled result back through a
 pipe; partial aggregates are merged in task order, so the result is
 bit-identical for every worker count.  Where ``fork`` is missing or fails
 (restricted sandboxes), the tasks run inline with the same merge order,
-which cannot change the output.  Forking assumes a single-threaded
-process, as the CLI is.
+which cannot change the output.  Forking, and the SIGTERM handler set
+while children run, assume a single-threaded process, as the CLI is.
 Running out of memory, in the parent or in a child, or a child that dies
 (say, by the OOM killer), raises ResourceCapError.
 """
@@ -26,11 +26,6 @@ R = TypeVar("R")
 _CHILD_OUT_OF_MEMORY = 3  # exit status of a child that ran out of memory
 
 
-def forks_children(n_tasks: int, workers: int) -> bool:
-    """Whether run_chunks runs some of ``n_tasks`` tasks in forked children."""
-    return workers > 1 and n_tasks > 1 and hasattr(os, "fork")
-
-
 def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
     """Apply ``fn`` to each task and return the results in task order.
 
@@ -39,11 +34,12 @@ def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R
     the others are forked children; when a fork fails, the parent also
     runs the tasks left without a child.  Results must pickle.  An
     exception raised by ``fn`` propagates, the job is never rerun, and no
-    child outlives the call.  A MemoryError or a dead child becomes
-    ResourceCapError.
+    child outlives the call: a SIGTERM to the parent while children run
+    ends them and exits with status 143.  A MemoryError or a dead child
+    becomes ResourceCapError.
     """
     try:
-        if not forks_children(len(tasks), workers):
+        if workers <= 1 or len(tasks) <= 1 or not hasattr(os, "fork"):
             return [fn(t) for t in tasks]
         return _run_forked(fn, tasks, min(workers, len(tasks)))
     except MemoryError:
@@ -57,6 +53,8 @@ def _run_forked(fn, tasks, n):
     results: list = [None] * len(tasks)
     children = []  # (k, pid, read end of its pipe), in k order
     reaped = 0
+    # a SIGTERM exits through the finally below, which ends the children
+    on_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         for k in range(1, n):
             r, w = os.pipe()
@@ -69,6 +67,7 @@ def _run_forked(fn, tasks, n):
             if pid == 0:  # the child: never returns to the caller
                 code = 1
                 try:
+                    signal.signal(signal.SIGTERM, on_sigterm)
                     os.close(r)
                     try:
                         outcome = (True, [fn(t) for t in tasks[k::n]])
@@ -106,3 +105,8 @@ def _run_forked(fn, tasks, n):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        signal.signal(signal.SIGTERM, on_sigterm)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)

@@ -1027,6 +1027,31 @@ def test_sweep_that_loses_a_materialized_point_exits_four(tmp_path, monkeypatch,
             in capsys.readouterr().err)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_names_every_result_key(tmp_path):
+    readme = README.read_text()
+    keys = set()
+    for argv in (["degeneracy", "--g", G_XY],
+                 ["quotient", "--g", G_XY, "--set", AP3],
+                 ["chain", "--g", G_XY, "--set", AP3],
+                 ["rich-points", "--g", G_XY, "--set", AP3, "--thresholds", "2"],
+                 ["incidences", "--g", G_X, "--set", AP3, "--points", INCIDENCE_POINTS],
+                 ["exponent-scan", "--g", G_XY, "--set", AP3, "--sizes", "4,8"],
+                 ["bisector", "--set", AP3]):
+        code, report = run_cli(tmp_path, *argv)
+        assert code == 0
+        results = report["results"]
+        keys |= {f"`{key}`" for key in results}
+        keys |= {f"`{key}`" for key in [*results.get("thresholds", [{}])[0],
+                                        *results.get("rows", [{}])[0]]}
+        keys |= {f"`{key}`" if f"`{key}`" in readme else f"`links.{key}`"
+                 for key in results.get("links", {})}
+    assert len(keys) > 40
+    assert sorted(key for key in keys if key not in readme) == []
+
+
 def test_memory_cap_option_and_config_field_are_gone(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "rich-points", "--g", G_X, "--set", AP3,
                       "--thresholds", "2", "--memory-cap", "3")

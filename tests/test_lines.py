@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -188,6 +189,19 @@ def test_memory_cap_enforced(monkeypatch):
     assert calls == []
     assert len(crossing_weights(family, workers=1)) > 0
     assert len(calls) == 1
+
+
+def test_memory_cap_charges_every_shard_when_fork_is_missing(monkeypatch):
+    # run inline, the parent holds both shards' parts until the merge
+    monkeypatch.delattr(os, "fork")
+    family = build_lines(G_X, GroundSet.of(*range(6)), GroundSet.of(*range(6)))
+    calls = []
+    monkeypatch.setattr(lines, "_sweep_chunk", calls.append)
+    inline = 36 * lines.SWEEP_ENTRY_BYTES  # 36 lines, one part
+    monkeypatch.setattr(lines, "_memory_budget", lambda: 2 * inline)
+    with pytest.raises(ResourceCapError, match=r"x 3\)"):
+        crossing_weights(family, workers=2)
+    assert calls == []
 
 
 def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():

@@ -1,9 +1,13 @@
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import quotlab
 from quotlab.errors import ResourceCapError
 from quotlab.parallel import run_chunks
 
@@ -124,6 +128,57 @@ def test_memory_error_in_a_child_is_a_resource_cap_error():
 
     with pytest.raises(ResourceCapError, match="out of memory"):
         run_chunks(body, [1, 2], workers=2)
+
+
+def test_sigterm_to_a_child_still_kills_it_and_the_handler_is_restored():
+    parent = os.getpid()
+    before = signal.getsignal(signal.SIGTERM)
+
+    def body(task):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return task
+
+    with pytest.raises(ResourceCapError, match="worker process died .*signal 15"):
+        run_chunks(body, [1, 2], workers=2)
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def children_of(pid):
+    try:
+        return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+    except OSError:  # the process has ended
+        return []
+
+
+def test_sigterm_to_the_parent_ends_its_children(tmp_path):
+    # chain for g = xy on {1..64} with 2 workers forks a child for each walk
+    src = str(Path(quotlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quotlab.cli", "chain", "--g", '[{"c":"1","i":1,"j":1}]',
+         "--set", '{"kind":"arithmetic","size":64}', "--workers", "2",
+         "--out", str(tmp_path / "report.json")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while not children and proc.poll() is None and time.monotonic() < deadline:
+            children = children_of(proc.pid)
+            time.sleep(0.005)
+        assert children, "the run never forked a child"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not [c for c in children if Path(f"/proc/{c}").exists()]
+    finally:
+        proc.kill()
+        proc.wait()
+        for child in children:  # an orphan the run left behind
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class Heavy:

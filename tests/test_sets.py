@@ -65,6 +65,8 @@ def test_explicit_values_and_duplicates():
 def test_unknown_kind_and_fields_rejected():
     with pytest.raises(InputError, match="kind"):
         SetSpec.from_dict({"kind": "fibonacci", "size": 3})
+    with pytest.raises(InputError, match="kind"):  # a kind that cannot be a dict key
+        SetSpec.from_dict({"kind": ["arithmetic"], "size": 3})
     with pytest.raises(InputError, match="unknown"):
         SetSpec.from_dict({"kind": "arithmetic", "size": 3, "ratio": 2})
 
