@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,19 @@ def test_total_degree():
     assert Poly(2, {(3, 2): frac(1)}).total_degree() == 5
     assert Poly(2, {(0, 0): frac(7)}).total_degree() == 0
     assert Poly(2).total_degree() is None
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -2), (1, 2, 3), (1,)])
+def test_exponent_key_not_a_nonnegative_pair_is_refused(key):
+    with pytest.raises(InputError, match=re.escape(repr(key))):
+        Poly(2, {key: frac(1)})
+
+
+def test_repr_of_mixed_rational_polynomial_is_pinned():
+    g = bivariate_from_terms([{"c": "1", "i": 1, "j": 3}, {"c": "-1/2", "i": 2, "j": 1},
+                              {"c": "-1", "i": 1, "j": 0}, {"c": "3/4", "i": 0, "j": 1},
+                              {"c": "-2", "i": 0, "j": 0}])
+    assert repr(g) == "Poly(-1/2*x^2*y + x*y^3 - x + 3/4*y - 2)"
 
 
 @given(st.fractions(max_denominator=10), st.fractions(max_denominator=10))
