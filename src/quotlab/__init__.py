@@ -5,7 +5,7 @@ from .reports import TOOL_VERSION as __version__
 
 from .rationals import parse_rational, format_rational, as_rational
 from .polynomials import (Poly, DegeneracyVerdict, bivariate_from_terms,
-                          bivariate_to_terms, degeneracy_test, slice_difference)
+                          bivariate_to_terms, degeneracy_test)
 from .sets import GroundSet, SetSpec, generate_set
 from .lines import (Line, LineMultiset, build_lines, vertical_section,
                     crossing_weights, rich_point_reports, incidences)
@@ -21,7 +21,7 @@ __all__ = [
     "__version__",
     "parse_rational", "format_rational", "as_rational",
     "Poly", "DegeneracyVerdict", "bivariate_from_terms", "bivariate_to_terms",
-    "degeneracy_test", "slice_difference",
+    "degeneracy_test",
     "GroundSet", "SetSpec", "generate_set",
     "Line", "LineMultiset", "build_lines", "vertical_section", "crossing_weights",
     "rich_point_reports", "incidences",

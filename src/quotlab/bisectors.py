@@ -27,7 +27,7 @@ from .sets import GroundSet
 def intercept_quotient_poly() -> Poly:
     """The quadratic whose difference-quotient set matches the bisector
     intercepts: g(x, y) = -(x^2 + y^2)/2 (machine-checked in the tests)."""
-    return Poly(2, {(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
+    return Poly({(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
 
 
 class InterceptSet(QuotientSet):

@@ -362,7 +362,7 @@ def random_polynomial(rng: random.Random, max_degree: int = 4,
         j = rng.randint(0, max_degree - 1)
         coeff = Fraction(rng.randint(1, 5))
         terms[(rng.randint(1, max_degree - j), j)] = coeff
-    return Poly(2, terms)
+    return Poly(terms)
 
 
 def random_x_free_polynomial(rng: random.Random, max_degree: int = 4) -> Poly:
@@ -374,7 +374,7 @@ def random_x_free_polynomial(rng: random.Random, max_degree: int = 4) -> Poly:
         while coeff == 0:
             coeff = random_fraction(rng, span=5, max_den=3)
         terms[(0, rng.randint(0, max_degree))] = coeff
-    return Poly(2, terms)
+    return Poly(terms)
 
 
 def random_ground_set(rng: random.Random, size: int,

@@ -33,9 +33,9 @@ from oracles import (SLOPE_DIFFERENCE, brute_bisector_intercepts, brute_energy,
                      histogram_rows, pair_difference, point_rows, random_ground_set,
                      random_polynomial, value_rows)
 
-G_X = Poly(2, {(1, 0): Fraction(1)})
-G_Y2 = Poly(2, {(0, 2): Fraction(1)})
-G_XY = Poly(2, {(1, 1): Fraction(1)})
+G_X = Poly({(1, 0): Fraction(1)})
+G_Y2 = Poly({(0, 2): Fraction(1)})
+G_XY = Poly({(1, 1): Fraction(1)})
 
 AP = SetSpec.from_dict({"kind": "arithmetic", "start": 1, "step": 1, "size": 2})
 SCAN_SIZES = [8, 16, 32, 64]
@@ -48,8 +48,8 @@ PINNED_COUNTS = {
 }
 GROWTH_POLYS = {
     "xy": G_XY,
-    "x+y^2": Poly(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)}),
-    "x^2+y": Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)}),
+    "x+y^2": Poly({(1, 0): Fraction(1), (0, 2): Fraction(1)}),
+    "x^2+y": Poly({(2, 0): Fraction(1), (0, 1): Fraction(1)}),
 }
 
 
@@ -300,7 +300,7 @@ def test_criterion_8_bisector_corollary():
             brute_grid_pair_counts(ground)
     # the sign-flipped scaled variant -2(x^2 - y^2) is refuted on a witness
     witness = GroundSet.of(0, 1, 3)
-    flipped = Poly(2, {(2, 0): Fraction(-2), (0, 2): Fraction(2)})
+    flipped = Poly({(2, 0): Fraction(-2), (0, 2): Fraction(2)})
     assert set(value_rows(quotient_set(flipped, witness))) != \
         set(value_rows(bisector_intercept_set(witness)))
     report_line(8, True, "quotient set of -(x^2+y^2)/2 = bisector intercepts by "

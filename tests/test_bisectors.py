@@ -136,7 +136,7 @@ def test_sign_flipped_quadratic_does_not_reproduce_intercepts():
     # -2(x^2 - y^2) is not the generating polynomial: the y^2 sign and the
     # overall scale are both wrong
     ground = GroundSet.of(0, 1, 3)
-    wrong = Poly(2, {(2, 0): frac(-2), (0, 2): frac(2)})
+    wrong = Poly({(2, 0): frac(-2), (0, 2): frac(2)})
     intercepts = bisector_intercept_set(ground)
     assert set(value_rows(quotient_set(wrong, ground))) != set(value_rows(intercepts))
 

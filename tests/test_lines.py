@@ -23,11 +23,11 @@ from oracles import (brute_energy, brute_incidences, brute_intersection_points,
                      brute_vertical_section, energy_restricted, family_of, instance_lines,
                      point_rows, random_ground_set, random_polynomial, section_by_y)
 
-G_X = Poly(2, {(1, 0): Fraction(1)})
-G_Y2 = Poly(2, {(0, 2): Fraction(1)})
-G_XY = Poly(2, {(1, 1): Fraction(1)})
-G_X_PLUS_Y2 = Poly(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)})
-G_X2_PLUS_Y = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
+G_X = Poly({(1, 0): Fraction(1)})
+G_Y2 = Poly({(0, 2): Fraction(1)})
+G_XY = Poly({(1, 1): Fraction(1)})
+G_X_PLUS_Y2 = Poly({(1, 0): Fraction(1), (0, 2): Fraction(1)})
+G_X2_PLUS_Y = Poly({(2, 0): Fraction(1), (0, 1): Fraction(1)})
 
 SEVEN_GIB = 7 * 2 ** 30
 # |X| for g = x + y^2 on {1..40}, g = xy on {1..64} and on {1..128}, as the

@@ -20,9 +20,9 @@ from quotlab.sets import GroundSet, SetSpec
 from oracles import (brute_quadruple_histogram, brute_quotient_set, histogram_rows,
                      random_ground_set, random_polynomial, value_rows)
 
-G_X = Poly(2, {(1, 0): Fraction(1)})
-G_Y2 = Poly(2, {(0, 2): Fraction(1)})
-G_XY = Poly(2, {(1, 1): Fraction(1)})
+G_X = Poly({(1, 0): Fraction(1)})
+G_Y2 = Poly({(0, 2): Fraction(1)})
+G_XY = Poly({(1, 1): Fraction(1)})
 
 AP_SPEC = SetSpec.from_dict({"kind": "arithmetic", "start": 1, "step": 1, "size": 4})
 
@@ -106,11 +106,11 @@ ORDER_FAMILIES = {
     # M over 1,000 bits: keys far beyond machine words
     "big-m": (G_XY, GroundSet.of(*random.Random(1606).sample(range(1, 10 ** 6), 16))),
     # slope and intercept scales lb, lc != 1, and keys of both signs
-    "rational-negatives": (Poly(2, {(1, 0): Fraction(1), (0, 2): Fraction(1)}),
+    "rational-negatives": (Poly({(1, 0): Fraction(1), (0, 2): Fraction(1)}),
                            GroundSet(Fraction(p, q) for p, q in
                                      ((1, 2), (2, 3), (-3, 5), (7, 4), (-2, 1), (0, 1), (5, 3)))),
     # a and -a give the same line: multiplicities 1 and 2
-    "repeated-lines": (Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)}),
+    "repeated-lines": (Poly({(2, 0): Fraction(1), (0, 1): Fraction(1)}),
                        GroundSet.of(*range(-6, 7))),
     "bisector-quadratic": (intercept_quotient_poly(),
                            GroundSet.of(1, 4, 9, 13, 16, 18, 27, 33, 49, 50)),
@@ -247,7 +247,7 @@ def test_histogram_conservation_and_bridge(seed):
 
 def test_histogram_with_repeated_lines_matches_brute_force():
     # a and -a give the same line: multiplicities 1 and 2, four lines per slope
-    g = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
+    g = Poly({(2, 0): Fraction(1), (0, 1): Fraction(1)})
     ground = interval(*range(-3, 4))
     family = build_lines(g, ground, ground)
     assert family.max_multiplicity == 2

@@ -24,8 +24,8 @@ from oracles import (brute_intersection_points, brute_point_lines,
                      brute_quadruple_histogram, family_of, histogram_rows, instance_lines,
                      point_rows)
 
-G_XY = Poly(2, {(1, 1): Fraction(1)})
-G_X2_PLUS_Y = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
+G_XY = Poly({(1, 1): Fraction(1)})
+G_X2_PLUS_Y = Poly({(2, 0): Fraction(1), (0, 1): Fraction(1)})
 
 RATIONALS = GroundSet(Fraction(p, q) for p, q in
                       ((1, 2), (2, 3), (-3, 5), (7, 4), (1, 1), (0, 1), (5, 3)))
@@ -43,15 +43,15 @@ FAMILIES = {
 TABLE_CASES = {
     "a-differs-from-b": (G_X2_PLUS_Y, GroundSet.of(-2, 0, 5), GroundSet.of(1, 3, 4, 9)),
     # lc is 432 times smaller than the cleared denominator L here
-    "rational-coefficients": (Poly(2, {(2, 1): Fraction(3, 2), (0, 3): Fraction(-1, 3),
+    "rational-coefficients": (Poly({(2, 1): Fraction(3, 2), (0, 3): Fraction(-1, 3),
                                        (1, 0): Fraction(5, 7), (0, 0): Fraction(-2, 9)}),
                               RATIONALS, GroundSet.of(Fraction(-1, 4), 0, Fraction(2, 3), 6)),
     "negative-rationals-in-a": (G_XY, GroundSet(Fraction(p, q) for p, q in
                                                 ((-7, 3), (-1, 6), (0, 1), (4, 9))),
                                 GroundSet.of(-3, -1, 2)),
-    "constant-only": (Poly(2, {(0, 0): Fraction(5, 3)}), GroundSet.of(0, 1, 2),
+    "constant-only": (Poly({(0, 0): Fraction(5, 3)}), GroundSet.of(0, 1, 2),
                       GroundSet.of(Fraction(1, 2), 4)),
-    "zero-polynomial": (Poly(2, {}), GroundSet.of(0, 1), GroundSet.of(0, 1)),
+    "zero-polynomial": (Poly({}), GroundSet.of(0, 1), GroundSet.of(0, 1)),
 }
 
 
