@@ -50,17 +50,21 @@ KINDS = {
 
 def _read(field: str, raw):
     """The canonical JSON form of one spec field; refuses a malformed value."""
-    if field == "values":
-        if not isinstance(raw, list) or not raw:
-            raise InputError("explicit set needs a nonempty 'values' list")
-        return [format_rational(as_rational(v)) for v in raw]
-    if field in ("start", "step", "ratio"):
-        return format_rational(as_rational(raw))
+    if field == "values" and (not isinstance(raw, list) or not raw):
+        raise InputError("explicit set needs a nonempty 'values' list")
+    if field in ("values", "start", "step", "ratio"):
+        try:
+            return ([format_rational(as_rational(v)) for v in raw] if field == "values"
+                    else format_rational(as_rational(raw)))
+        except InputError as err:
+            raise InputError(f"{field}: {err}") from None
     if field == "size" and (type(raw) is not int or raw < 1):
         raise InputError("set spec needs integer size >= 1")
     if field == "range" and (not isinstance(raw, list) or len(raw) != 2
                              or not all(type(v) is int for v in raw)):
         raise InputError("uniform-random-integer needs 'range': [lo, hi]")
+    if field == "range" and raw[0] > raw[1]:
+        raise InputError(f"range {raw} has lo > hi")
     if field == "seed" and type(raw) is not int:
         raise InputError("seed must be an integer")
     return raw

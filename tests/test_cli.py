@@ -729,6 +729,16 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
                           "seed": 1}}, [], "uniform-random-integer needs 'range': [lo, hi]"),
     ("quotient", {"set": {"kind": "uniform-random-integer", "range": [1, 9], "size": 4,
                           "seed": True}}, [], "seed must be an integer"),
+    ("quotient", {"set": {"kind": "uniform-random-integer", "range": [9, 1], "size": 3}}, [],
+     "range [9, 1] has lo > hi"),
+    ("quotient", {"set": {"kind": "arithmetic", "size": 3, "start": None}}, [],
+     "start: not a rational value: None"),
+    ("quotient", {"set": {"kind": "arithmetic", "size": 3, "step": "1/0"}}, [],
+     "step: zero denominator"),
+    ("quotient", {"set": {"kind": "geometric", "size": 3, "ratio": "1/0"}}, [],
+     "ratio: zero denominator"),
+    ("quotient", {"set": {"kind": "explicit", "values": [1, "x"]}}, [],
+     "values: not a rational literal: 'x'"),
     ("quotient", {}, ["--g", '[{"c":"1","i":true,"j":1}]'],
      "term exponents must be nonnegative integers: {'c': '1', 'i': True, 'j': 1}"),
     ("quotient", {"g": [{"c": "1", "i": 1, "j": False}]}, [],
@@ -753,6 +763,8 @@ def test_config_file_and_flags_give_the_same_run(tmp_path, experiment):
      "cannot read polynomial file: [Errno 2] No such file or directory: 'missing.json'"),
 ], ids=["sizes-flag-empty", "sizes-string", "thresholds-int", "workers-bool",
         "allow-degenerate-string", "set-size-bool", "set-range-bool", "set-seed-bool",
+        "set-range-reversed", "set-start-null", "set-step-zero-denominator",
+        "set-ratio-zero-denominator", "set-values-not-rational",
         "g-exponent-true", "g-exponent-false", "set-not-object", "explicit-empty",
         "arithmetic-step-zero", "geometric-ratio-one", "geometric-ratio-minus-one",
         "scan-size-one", "sizes-flag-not-integer", "point-not-pair", "points-not-list",
