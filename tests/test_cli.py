@@ -23,6 +23,7 @@ G_X = '[{"c":"1","i":1,"j":0}]'
 G_Y2 = '[{"c":"1","i":0,"j":2}]'
 G_XY = '[{"c":"1","i":1,"j":1}]'
 G_X2_PLUS_Y = '[{"c":"1","i":2,"j":0},{"c":"1","i":0,"j":1}]'
+G_X_PLUS_Y2 = '[{"c":"1","i":1,"j":0},{"c":"1","i":0,"j":2}]'
 AP3 = '{"kind":"arithmetic","start":1,"step":1,"size":3}'
 
 
@@ -269,6 +270,10 @@ def test_points_csv_bytes_are_unchanged(tmp_path):
 VALUES_CSV_SHA256 = {
     (G_XY, 1, 6): "7571e67f0a0f0f0c4b2797146d5b80bab910a9d04c2254744e1c97cc8557ec7c",
     (G_X2_PLUS_Y, -4, 9): "4f60eed1072f741c98aa0a429c80a6935877cf0dbc8ddda6d4c7bb18cd35308f",
+    # families whose slope classes are shifts of one another, written by the
+    # walk over every intercept pair of every slope-class pair
+    (G_X, 1, 12): "a08250bfce99aefe099e96c23302c30f011de7e8d6951b235fa0519d2b4436f7",
+    (G_X_PLUS_Y2, 1, 12): "8098b4104e8906a181cd348f89983d8a6d7c6b8ce51084280dc37ee6e63d4d0a",
 }
 # the first set the bisector-rand benchmark draws with seed 1
 BISECTOR_RAND_SET = ["1", "4", "9", "13", "16", "18", "27", "33", "49", "50",
@@ -278,6 +283,9 @@ INTERCEPTS_CSV_SHA256 = "b06370d677c1f5c278a64e2388ce8be3e7e9d5295e0465554ecc1c6
 HISTOGRAM_CSV_SHA256 = {
     (G_XY, 1, 6): "d8e2b170c659b2e4dbada1f794773f2f690092e2d43c48a6a1ccccbd1d71ce77",
     (G_X2_PLUS_Y, -4, 9): "0c606f1168c56abc7f801b2a287c1d2ae6870bccbb98693c8f7fe60ff22aa013",
+    # as for VALUES_CSV_SHA256
+    (G_X, 1, 12): "d435cab374066ae7951c6a07743ab173684f33a8422148c19f65cf7e81d08194",
+    (G_X_PLUS_Y2, 1, 12): "1927b57cfe4683c4a1104237c6808807a65e3399a8fe73d2b29ecc4153afc5d1",
 }
 
 

@@ -204,6 +204,46 @@ def test_memory_cap_charges_every_shard_when_fork_is_missing(monkeypatch):
     assert calls == []
 
 
+def test_sweep_builds_the_keys_of_a_line_once_or_twice(monkeypatch):
+    # unit multiplicities: one key list per swept line serves as both the
+    # lines and the masses; weighted lines need a second, repeated, list
+    calls = []
+    line_keys = lines._line_keys
+
+    def counted(*args):
+        calls.append(1)
+        return line_keys(*args)
+
+    monkeypatch.setattr(lines, "_line_keys", counted)
+    for g, ground, per_line in ((G_XY, GroundSet.of(*range(1, 7)), 1),
+                                (G_X_PLUS_Y2, GroundSet.of(*range(1, 13)), 1),
+                                (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4)), 2)):
+        family = build_lines(g, ground, ground)
+        assert (family.max_multiplicity == 1) == (per_line == 1)
+        # the lines of the top slope class meet no line above them and are not swept
+        swept = len(family) - len(family.intercepts[-1])
+        for support_size in (None, 0):
+            calls.clear()
+            crossing_weights(family, support_size=support_size)
+            assert len(calls) == per_line * swept
+
+
+def test_kernels_called_without_workers_never_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a kernel called without workers forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = SetSpec.from_dict({"kind": "arithmetic", "start": 1, "step": 1, "size": 4})
+    for g, ground in ((G_XY, GroundSet.of(*range(1, 9))),
+                      (G_X_PLUS_Y2, GroundSet.of(*range(1, 13)))):
+        family = build_lines(g, ground, ground)
+        assert len(quotient_set(g, ground)) > 0
+        assert len(quadruple_histogram(family)) > 0
+        assert len(crossing_weights(family)) > 0
+        assert verify_chain(g, ground)[0]["size_x"] > 0
+        assert len(exponent_scan(g, spec, [2, 8])["rows"]) == 2
+    assert len(bisector_intercept_set(GroundSet.of(*range(1, 9)))) > 0
+
 def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():
     for g, ground in ((G_X, GroundSet.of(*range(6))),          # multiplicities 1
                       (G_XY, GroundSet.of(*range(5))),         # b = 0 collapses 5 lines
