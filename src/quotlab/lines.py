@@ -27,6 +27,15 @@ and the sweep below are separate enumerations keyed by it with no gcd;
 keys are read out as Fractions or, for the CSVs, as text
 (rationals.format_key).
 
+The walk has two forms.  The generic one takes |C_i| * |C_j| steps per
+class pair.  When g has no mixed term, every class is class 0 shifted by
+some t_i, with the same multiplicities (translate_shifts reads this off
+the table).  The keys of classes i < j are then (d + t_i - t_j) * (M /
+(S_j - S_i)) over the one difference set D = C_0 - C_0, so the translate
+walk takes C(k, 2) * |D| steps for k classes.  pair_keys takes it when
+that is TRANSLATE_GAIN times fewer steps; the sweep stays generic, so
+on such families the chain compares two different algorithms.
+
 Crossing points are never aggregated.  The sweep (crossing_weights) groups,
 on each line l, its crossings with the lines of higher slope by key; on
 one line the key alone identifies the point.  A group holds c distinct
@@ -52,7 +61,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
@@ -222,13 +231,77 @@ def pair_keys(family: LineMultiset, columns: list[list[int]], collect, workers: 
     """The keys of the crossings of ``columns`` (scaled intercepts, one list
     per slope class of ``family``): the first shard's ``collect()``, with
     the other shards' parts folded into it in range order, so that no copy
-    of the result is made."""
-    tasks = [((family.slopes, columns, family.xscale), lo, hi, collect)
-             for lo, hi in _class_shards(family, workers)]
-    merged, *rest = run_chunks(_pair_keys_chunk, tasks, workers)
+    of the result is made.  A translate family whose differences make the
+    translate walk TRANSLATE_GAIN times shorter takes that walk."""
+    shifts = translate_shifts(family)
+    if shifts is not None:
+        diffs = _differences(columns[0])
+        if TRANSLATE_GAIN * comb(len(shifts), 2) * len(diffs) <= crossing_pair_count(family):
+            return translate_keys(family, shifts, diffs, collect, workers)
+    return _walk(_pair_keys_chunk, (family.slopes, columns, family.xscale), family,
+                 collect, workers)
+
+
+def _walk(chunk, table, family: LineMultiset, collect, workers: int):
+    """Run ``chunk`` on ``table`` over the class shards; fold the parts."""
+    tasks = [(table, lo, hi, collect) for lo, hi in _class_shards(family, workers)]
+    merged, *rest = run_chunks(chunk, tasks, workers)
     for part in rest:
         merged.update(part)
     return merged
+
+
+# -- the translate walk -------------------------------------------------------
+
+# The translate walk runs only when it takes this many times fewer steps
+# than the walk over every intercept pair.
+TRANSLATE_GAIN = 4
+
+
+def translate_shifts(family: LineMultiset) -> list[int] | None:
+    """The shifts t_i with class i = class 0 + t_i, intercept by intercept
+    and with equal multiplicities (g with no mixed term gives them), or
+    None when some class is not such a shift; one pass over the table."""
+    first, mults = family.intercepts[0], family.mults[0]
+    shifts = []
+    for cs, ms in zip(family.intercepts, family.mults):
+        t = cs[0] - first[0]
+        if ms != mults or [c - t for c in cs] != first:
+            return None
+        shifts.append(t)
+    return shifts
+
+
+def _differences(column: list[int]) -> Counter:
+    """D = column - column, each difference d with the number of pairs
+    (u, v) in ``column`` with u - v = d."""
+    return Counter([u - v for u in column for v in column])
+
+
+def _translate_keys_chunk(args):
+    """Add the key of every difference d of class pairs i < j, i in [lo, hi),
+    to ``collect()``, with d's weight: (d + t_i - t_j) * (M / (S_j - S_i)).
+    """
+    (sb, shifts, diffs, xscale), lo, hi, collect = args
+    out = collect()
+    for i in range(lo, hi):
+        for j in range(i + 1, len(sb)):
+            f, t = xscale // (sb[j] - sb[i]), shifts[i] - shifts[j]
+            # the keys are distinct, so a set takes them and a Counter adds the weights
+            out.update({(d + t) * f: w for d, w in diffs.items()})
+    return out
+
+
+def translate_keys(family: LineMultiset, shifts: list[int], diffs: Counter, collect,
+                   workers: int):
+    """pair_keys of a translate family with ``shifts`` (translate_shifts)
+    and ``diffs`` = _differences(columns[0]), in C(k, 2) * |D| steps for k
+    slope classes: the crossings of classes i and j are C_0 + t_i against
+    C_0 + t_j, so their keys are D shifted by t_i - t_j and scaled.  Every
+    class pair takes |D| steps and every class holds |C_0| lines, so the
+    class shards share out this walk's steps as they do the generic walk's."""
+    return _walk(_translate_keys_chunk, (family.slopes, shifts, diffs, family.xscale),
+                 family, collect, workers)
 
 
 # -- the lowest-slope-line sweep -------------------------------------------

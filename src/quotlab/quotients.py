@@ -9,16 +9,19 @@ The central objects for a bivariate g and a finite set A:
                     (denominator convention b1 - b2, so support(Q) = -X)
 
 Both are read off one walk over the slope-class pairs of the line family
-(lines.pair_keys), whose table comes from |A|^2 integer evaluations of g.
-The walk collects the family's integer abscissa keys with no gcd:
-quotient_set keeps the distinct ones, and X is their negation; the
-histogram counts them.  QuotientSet and QuadrupleHistogram hold the keys
-and the family's key_scale, and nothing else: their one read-out is the
-text rows that reports.py writes from the keys, so no value becomes a
-Fraction.  verify_chain builds the family once, reads X off as
--support(Q), and compares Q key by key with the lowest-slope-line sweep
-of lines.py, a second enumeration that groups the same crossings per
-line; it reads keys as Fractions (key_value) only at its three sampled
+(lines.pair_keys), whose table comes from |A|^2 integer evaluations of g:
+the walk over every intercept pair or, when every slope class is a shift
+of the first (g with no mixed term), the translate walk over one
+difference set.  The walk collects the family's integer abscissa keys
+with no gcd: quotient_set keeps the distinct ones, and X is their
+negation; the histogram counts them.  QuotientSet and QuadrupleHistogram
+hold the keys and the family's key_scale, and nothing else: their one
+read-out is the text rows that reports.py writes from the keys, so no
+value becomes a Fraction.  verify_chain builds the family once, reads X
+off as -support(Q), and compares Q key by key with the lowest-slope-line
+sweep of lines.py, a second enumeration that groups the same crossings
+per line (after the translate walk, a second algorithm as well); it
+reads keys as Fractions (key_value) only at its three sampled
 abscissas.  verify_chain and exponent_scan return the dicts that their
 reports carry as ``results``; the CLI writes them as they are.
 """

@@ -959,6 +959,29 @@ def test_histogram_count_moved_between_abscissas_exits_four(tmp_path, monkeypatc
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_translate_walk_with_a_shift_off_by_one_exits_four(tmp_path, monkeypatch, capsys,
+                                                           workers):
+    # the histogram takes the translate walk and the sweep the generic one,
+    # so the chain compares two algorithms
+    translate_shifts = lines.translate_shifts
+
+    def last_shift_off_by_one(family):
+        shifts = translate_shifts(family)
+        shifts[-1] += 1
+        return shifts
+
+    monkeypatch.setattr(lines, "translate_shifts", last_shift_off_by_one)
+    hist_path = tmp_path / "hist.csv"
+    spec = json.dumps({"kind": "arithmetic", "start": 1, "step": 1, "size": 12})
+    code, report = run_cli(tmp_path, "chain", "--g", G_X_PLUS_Y2, "--set", spec,
+                           "--histogram-out", str(hist_path), "--workers", workers)
+    assert code == 4
+    assert report is None
+    assert not hist_path.exists()
+    assert ("internal check failed: crossing abscissas differ from histogram support\n"
+            in capsys.readouterr().err)
+
 def test_vertical_section_that_loses_mass_exits_four(tmp_path, monkeypatch, capsys):
     section = quotients.vertical_section
     calls = []

@@ -9,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotlab import lines
-from quotlab.bisectors import bisector_intercept_set
+from quotlab.bisectors import bisector_intercept_set, intercept_quotient_poly
 from quotlab.errors import InputError, ResourceCapError
 from quotlab.lines import (Line, build_lines, check_crossing_memory, crossing_pair_count,
                            crossing_weights, incidences, rich_point_reports,
                            vertical_section)
 from quotlab.polynomials import Poly
-from quotlab.quotients import exponent_scan, quadruple_histogram, quotient_set, verify_chain
+from quotlab.quotients import (QuadrupleHistogram, QuotientSet, exponent_scan,
+                               quadruple_histogram, quotient_set, verify_chain)
 from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet, SetSpec
 
 from oracles import (brute_energy, brute_incidences, brute_intersection_points,
-                     brute_vertical_section, energy_restricted, family_of, instance_lines,
-                     point_rows, random_ground_set, random_polynomial, section_by_y)
+                     brute_quadruple_histogram, brute_quotient_set, brute_vertical_section,
+                     energy_restricted, family_of, histogram_rows, instance_lines,
+                     point_rows, random_ground_set, random_polynomial, section_by_y,
+                     value_rows)
 
 G_X = Poly({(1, 0): Fraction(1)})
 G_Y2 = Poly({(0, 2): Fraction(1)})
@@ -293,7 +296,8 @@ def test_every_kernel_takes_its_tasks_from_the_class_shards(monkeypatch):
     monkeypatch.setattr(lines, "run_chunks", recorded)
     for g, ground in ((G_X, GroundSet.of(*range(6))),
                       (G_XY, GroundSet.of(*range(1, 7))),
-                      (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4)))):  # repeated lines
+                      (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))),  # repeated lines
+                      (G_X_PLUS_Y2, GroundSet.of(*range(1, 13)))):  # the translate walk
         family = build_lines(g, ground, ground)
         for workers in (1, 2, 3):
             seen.clear()
@@ -314,7 +318,8 @@ def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
     one_class = family_of([Line(frac(2), frac(c), 1) for c in range(3)])
     families = [one_class] + [build_lines(g, ground, ground) for g, ground in (
         (G_XY, GroundSet.of(*range(1, 7))),
-        (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))))]  # repeated lines
+        (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))),  # repeated lines
+        (G_X_PLUS_Y2, GroundSet.of(*range(1, 13))))]  # the translate walk
     for family in families:
         for workers in (1, 2, 3):
             for kind in (set, Counter):
@@ -329,6 +334,105 @@ def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
                 assert merged is parts[0]
             assert quadruple_histogram(family, workers=workers).pairs_by_key is parts[0]
 
+
+# -- the translate walk ---------------------------------------------------------
+
+
+def translate_walk(family, weighted, workers=1):
+    """The translate walk of ``family`` whatever TRANSLATE_GAIN says: its
+    quotient set, or, ``weighted``, its histogram."""
+    shifts = lines.translate_shifts(family)
+    assert shifts is not None
+    first = [c for c, m in zip(family.intercepts[0], family.mults[0])
+             for _ in range(m if weighted else 1)]
+    keys = lines.translate_keys(family, shifts, lines._differences(first),
+                                Counter if weighted else set, workers)
+    if weighted:
+        return QuadrupleHistogram(keys, family.key_scale)
+    return QuotientSet(keys, family.key_scale)
+
+
+TRANSLATE_FAMILIES = {
+    # rational elements and coefficients: lb, lc != 1
+    "rational": (Poly({(1, 0): frac(1, 2), (0, 2): frac(-2, 3)}),
+                 GroundSet(Fraction(p, q) for p, q in
+                           ((1, 2), (2, 3), (-3, 5), (7, 4), (-2, 1), (0, 1), (5, 3)))),
+    # b^2 falls and then rises with the slope b: shifts of both signs
+    "negative-shift": (G_X_PLUS_Y2, GroundSet.of(*range(-2, 4))),
+    # a and -a give the same line: multiplicities 1 and 2
+    "repeated-lines": (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_FAMILIES))
+def test_translate_walk_matches_brute_force(name):
+    g, ground = TRANSLATE_FAMILIES[name]
+    family = build_lines(g, ground, ground)
+    shifts = lines.translate_shifts(family)
+    if name == "negative-shift":
+        assert min(shifts) < 0 < max(shifts)
+    if name == "repeated-lines":
+        assert family.max_multiplicity == 2
+    values = sorted(brute_quotient_set(g, ground))
+    hist = brute_quadruple_histogram(g, ground)
+    for workers in (1, 2, 3):
+        assert value_rows(translate_walk(family, False, workers)) == values
+        assert histogram_rows(translate_walk(family, True, workers)) == hist
+
+
+def walks_taken(monkeypatch, run) -> list[str]:
+    """The walks (generic or translate) that ``run()`` takes, one per shard."""
+    taken = []
+    for name, chunk in (("generic", "_pair_keys_chunk"), ("translate", "_translate_keys_chunk")):
+        def counted(args, name=name, kernel=getattr(lines, chunk)):
+            taken.append(name)
+            return kernel(args)
+        monkeypatch.setattr(lines, chunk, counted)
+    run()
+    return taken
+
+
+def test_translate_walk_runs_only_when_it_is_four_times_shorter(monkeypatch):
+    ground = GroundSet.of(*range(1, 41))  # the chain-xpy2-w2 benchmark's set
+    family = build_lines(G_X_PLUS_Y2, ground, ground)
+    # 780 class pairs of 79 differences against 780 of 1,600 line pairs
+    assert crossing_pair_count(family) == 780 * 1600
+    assert len(lines._differences(family.intercepts[0])) == 79
+    assert walks_taken(monkeypatch, lambda: (quotient_set(G_X_PLUS_Y2, ground),
+                                             quadruple_histogram(family))) == ["translate"] * 2
+    # g = xy: class b holds -a*b, no shift of class 1
+    xy = GroundSet.of(*range(1, 9))
+    assert lines.translate_shifts(build_lines(G_XY, xy, xy)) is None
+    assert walks_taken(monkeypatch, lambda: quotient_set(G_XY, xy)) == ["generic"]
+
+
+def test_translate_walk_needs_equal_multiplicities(monkeypatch):
+    # three classes, each the intercepts 0..9 shifted: |D| = 19, 5.3x shorter
+    def family(heavy):
+        return family_of([Line(frac(s), frac(c + 3 * s), 2 if (s, c) == heavy else 1)
+                          for s in range(3) for c in range(10)])
+
+    equal, unequal = family(None), family((1, 4))
+    assert lines.translate_shifts(equal) == [0, 3, 6]
+    assert lines.translate_shifts(unequal) is None
+    for table, walk in ((equal, "translate"), (unequal, "generic")):
+        assert walks_taken(monkeypatch, lambda: (
+            lines.pair_keys(table, table.intercepts, set, 1),
+            quadruple_histogram(table))) == [walk] * 2
+
+
+def test_bisector_rand_sets_take_the_generic_walk(monkeypatch):
+    # perfbench/workloads.py draws the four sets of seed 1 this way
+    rng = random.Random(1)
+    for _ in range(4):
+        ground = GroundSet.of(*sorted(rng.sample(range(1, 101), 20)))
+        family = build_lines(intercept_quotient_poly(), ground, ground)
+        shifts = lines.translate_shifts(family)
+        assert shifts is not None  # -(x^2 + y^2)/2 has no mixed term
+        steps = len(shifts) * (len(shifts) - 1) // 2 * len(
+            lines._differences(family.intercepts[0]))
+        assert 1.05 < crossing_pair_count(family) / steps < 1.10
+        assert walks_taken(monkeypatch, lambda: bisector_intercept_set(ground)) == ["generic"]
 
 def test_memory_check_admits_desk_runs_and_refuses_quartic_ones(monkeypatch):
     monkeypatch.setattr(lines, "_memory_budget", lambda: SEVEN_GIB)

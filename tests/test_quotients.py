@@ -23,6 +23,7 @@ from oracles import (brute_quadruple_histogram, brute_quotient_set, histogram_ro
 G_X = Poly({(1, 0): Fraction(1)})
 G_Y2 = Poly({(0, 2): Fraction(1)})
 G_XY = Poly({(1, 1): Fraction(1)})
+G_X_PLUS_Y2 = Poly({(1, 0): Fraction(1), (0, 2): Fraction(1)})
 
 AP_SPEC = SetSpec.from_dict({"kind": "arithmetic", "start": 1, "step": 1, "size": 4})
 
@@ -204,6 +205,12 @@ def test_quotient_set_workers_equivalent():
     base = quotient_set(G_XY, ground, workers=1)
     assert same_set(quotient_set(G_XY, ground, workers=3), base)
     assert same_set(quotient_set(G_XY, ground, workers=8), base)
+    # a translate family: the translate walk, sharded by class pairs
+    ground = interval(*range(1, 13))
+    base = quotient_set(G_X_PLUS_Y2, ground, workers=1)
+    assert len(base) == len(brute_quotient_set(G_X_PLUS_Y2, ground))
+    for workers in (2, 3):
+        assert same_set(quotient_set(G_X_PLUS_Y2, ground, workers=workers), base)
 
 
 # -- quadruple histogram -------------------------------------------------------
@@ -261,6 +268,12 @@ def test_histogram_workers_equivalent():
     ground = interval(*range(1, 8))
     base = histogram(G_XY, ground, workers=1)
     assert same_histogram(histogram(G_XY, ground, workers=4), base)
+    # a translate family, as in test_quotient_set_workers_equivalent
+    ground = interval(*range(1, 13))
+    base = histogram(G_X_PLUS_Y2, ground, workers=1)
+    assert base.total == 12 ** 3 * 11
+    for workers in (2, 3):
+        assert same_histogram(histogram(G_X_PLUS_Y2, ground, workers=workers), base)
 
 
 # -- verification chain ---------------------------------------------------------
@@ -343,6 +356,14 @@ def test_chain_workers_equivalent():
 def test_collapsed_quadratic_size_closed_form(n):
     ground = interval(*range(1, n + 1))
     assert len(quotient_set(G_Y2, ground)) == 2 * n - 3
+
+
+def test_difference_ratio_size_closed_form():
+    # g = x on {1..n}: X holds p/q with |p|, |q| < n, q != 0: 0 and, of
+    # either sign, the 2 * sum phi(k) - 1 positive fractions in lowest terms
+    phi = [sum(math.gcd(j, k) == 1 for j in range(1, k + 1)) for k in range(33)]
+    for n in range(2, 34):
+        assert len(quotient_set(G_X, interval(*range(1, n + 1)))) == 4 * sum(phi[1:n]) - 1
 
 
 # -- exponent scans ---------------------------------------------------------------
