@@ -982,6 +982,7 @@ def test_translate_walk_with_a_shift_off_by_one_exits_four(tmp_path, monkeypatch
     assert ("internal check failed: crossing abscissas differ from histogram support\n"
             in capsys.readouterr().err)
 
+
 def test_vertical_section_that_loses_mass_exits_four(tmp_path, monkeypatch, capsys):
     section = quotients.vertical_section
     calls = []

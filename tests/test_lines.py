@@ -247,6 +247,7 @@ def test_kernels_called_without_workers_never_fork(monkeypatch):
         assert len(exponent_scan(g, spec, [2, 8])["rows"]) == 2
     assert len(bisector_intercept_set(GroundSet.of(*range(1, 9)))) > 0
 
+
 def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():
     for g, ground in ((G_X, GroundSet.of(*range(6))),          # multiplicities 1
                       (G_XY, GroundSet.of(*range(5))),         # b = 0 collapses 5 lines
@@ -433,6 +434,7 @@ def test_bisector_rand_sets_take_the_generic_walk(monkeypatch):
             lines._differences(family.intercepts[0]))
         assert 1.05 < crossing_pair_count(family) / steps < 1.10
         assert walks_taken(monkeypatch, lambda: bisector_intercept_set(ground)) == ["generic"]
+
 
 def test_memory_check_admits_desk_runs_and_refuses_quartic_ones(monkeypatch):
     monkeypatch.setattr(lines, "_memory_budget", lambda: SEVEN_GIB)
