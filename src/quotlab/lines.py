@@ -51,9 +51,10 @@ m_l + M_l = T_r = m_r + ... + m_k.  So, for any multiplicities:
     with c >= 2 telescope to +1 at n per point: the histogram of n.
 
 A process holds the groups of one line and, for the chain, one count per
-abscissa.  Only rich-points --points-out keeps the points.  Both
-enumerations shard by _class_shards and fold the other shards into the
-first shard's part, in range order.
+abscissa.  Only rich-points --points-out keeps the points.  Every
+enumeration (the two walks and the sweep) runs through _walk: it shards by
+_class_shards and folds the other shards into the first shard's part, in
+range order.
 """
 
 from __future__ import annotations
@@ -232,12 +233,15 @@ def pair_keys(family: LineMultiset, columns: list[list[int]], collect, workers: 
     per slope class of ``family``): the first shard's ``collect()``, with
     the other shards' parts folded into it in range order, so that no copy
     of the result is made.  A translate family whose differences make the
-    translate walk TRANSLATE_GAIN times shorter takes that walk."""
+    translate walk TRANSLATE_GAIN times shorter takes that walk.  Its class
+    pairs each take |D| steps and its classes each hold |C_0| lines, so the
+    class shards share out its steps as they do the generic walk's."""
     shifts = translate_shifts(family)
     if shifts is not None:
         diffs = _differences(columns[0])
         if TRANSLATE_GAIN * comb(len(shifts), 2) * len(diffs) <= crossing_pair_count(family):
-            return translate_keys(family, shifts, diffs, collect, workers)
+            return _walk(_translate_keys_chunk, (family.slopes, shifts, diffs, family.xscale),
+                         family, collect, workers)
     return _walk(_pair_keys_chunk, (family.slopes, columns, family.xscale), family,
                  collect, workers)
 
@@ -292,18 +296,6 @@ def _translate_keys_chunk(args):
     return out
 
 
-def translate_keys(family: LineMultiset, shifts: list[int], diffs: Counter, collect,
-                   workers: int):
-    """pair_keys of a translate family with ``shifts`` (translate_shifts)
-    and ``diffs`` = _differences(columns[0]), in C(k, 2) * |D| steps for k
-    slope classes: the crossings of classes i and j are C_0 + t_i against
-    C_0 + t_j, so their keys are D shifted by t_i - t_j and scaled.  Every
-    class pair takes |D| steps and every class holds |C_0| lines, so the
-    class shards share out this walk's steps as they do the generic walk's."""
-    return _walk(_translate_keys_chunk, (family.slopes, shifts, diffs, family.xscale),
-                 family, collect, workers)
-
-
 # -- the lowest-slope-line sweep -------------------------------------------
 
 
@@ -315,20 +307,16 @@ def _line_keys(c: int, factors: list[int], columns: list[list[int]]) -> list[int
 
 
 def _sweep_chunk(args):
-    """Sweep the lines of slope classes [lo, hi) against every class above.
-
-    Returns (line pairs, {n: points}, {abscissa key: pairs} or None,
-    {(x key, y key): n} or None); the module docstring has the identities.
-    """
-    family, lo, hi, per_abscissa, keep_points = args
+    """Sweep the lines of slope classes [lo, hi) against every class above
+    into a fresh ``collect()``, a CrossingWeights, and return it; the module
+    docstring has the identities."""
+    family, lo, hi, collect = args
+    out = collect()
     sb, xscale, intercepts, mults = family.slopes, family.xscale, family.intercepts, family.mults
     unit = all(m == 1 for ms in mults for m in ms)
-    pairs = 0
-    weights: Counter = Counter()
+    weights, cross, points = out.weights, out.pairs_by_key, out.points
     # unit multiplicities: the shard's groups by size c (m = 1, M_l = c), read at the end
     unit_sizes: Counter = Counter()
-    cross: Counter | None = Counter() if per_abscissa else None
-    points: dict | None = {} if keep_points else None
     for i in range(lo, hi):
         above = range(i + 1, len(sb))
         factors = [xscale // (sb[j] - sb[i]) for j in above]
@@ -339,7 +327,7 @@ def _sweep_chunk(args):
             for column, j in zip(scaled, above)]
         for c, m in zip(intercepts[i], mults[i]):
             keys = _line_keys(c, factors, scaled)
-            pairs += len(keys)
+            out.pairs += len(keys)
             groups = Counter(keys)  # distinct lines per group
             if unit:
                 unit_sizes.update(groups.values())
@@ -366,35 +354,33 @@ def _sweep_chunk(args):
         weights[1 + w] += count
         if w > 1:
             weights[w] -= count
-    return pairs, weights, cross, points
+    return out
 
 
 class CrossingWeights:
-    """The sweep's results summed over its shards: ``pairs`` swept line
-    pairs; ``weights`` n -> points of weight n, over the points on >= 2
-    distinct lines (len() counts them); ``pairs_by_key`` abscissa key ->
-    Q(x)/2, or None; ``points`` (x key, y key) -> n, or None."""
+    """A shard's sweep, or the whole sweep once the shards are folded in:
+    ``pairs`` swept line pairs; ``weights`` n -> points of weight n, over
+    the points on >= 2 distinct lines (len() counts them); ``pairs_by_key``
+    abscissa key -> Q(x)/2, or None; ``points`` (x key, y key) -> n, or None."""
 
     __slots__ = ("pairs", "weights", "pairs_by_key", "points", "key_scale")
 
-    def __init__(self, parts: list[tuple], key_scale: tuple[int, int]):
-        self.key_scale = key_scale
-        pairs, weights, self.pairs_by_key, self.points = parts[0]
-        for more_pairs, more_weights, cross, points in parts[1:]:
-            pairs += more_pairs
-            weights.update(more_weights)
-            if cross is not None:
-                self.pairs_by_key.update(cross)
-            if points is not None:
-                for point, n in points.items():
-                    if self.points.get(point, 0) < n:
-                        self.points[point] = n
-        self.pairs = pairs
-        if any(count < 0 for count in weights.values()):
-            raise InternalCheckError("the sweep counted a negative number of points")
-        self.weights = dict(sorted((n, count) for n, count in weights.items() if count))
-        if self.points is not None and Counter(self.points.values()) != self.weights:
-            raise InternalCheckError("materialized points disagree with the swept weights")
+    def __init__(self, key_scale: tuple[int, int], per_abscissa: bool, keep_points: bool):
+        self.pairs, self.weights, self.key_scale = 0, Counter(), key_scale
+        self.pairs_by_key = Counter() if per_abscissa else None
+        self.points = {} if keep_points else None
+
+    def update(self, part: CrossingWeights) -> None:
+        """Fold another shard's part in: pairs, weights and pairs per key
+        add up, and a point both kept takes the larger n."""
+        self.pairs += part.pairs
+        self.weights.update(part.weights)
+        if self.pairs_by_key is not None:
+            self.pairs_by_key.update(part.pairs_by_key)
+        if self.points is not None:
+            for point, n in part.points.items():
+                if self.points.get(point, 0) < n:
+                    self.points[point] = n
 
     def __len__(self) -> int:
         return sum(self.weights.values())
@@ -468,9 +454,15 @@ def crossing_weights(family: LineMultiset, workers: int = 1, *,
     off its histogram); the sweep then also counts pairs per abscissa key.
     ``points`` keeps every crossing point."""
     check_crossing_memory(family, workers, support_size or 0, points)
-    tasks = [(family, lo, hi, support_size is not None, points)
-             for lo, hi in _class_shards(family, workers)]
-    return CrossingWeights(run_chunks(_sweep_chunk, tasks, workers), family.key_scale)
+    out = _walk(_sweep_chunk, family, family,
+                lambda: CrossingWeights(family.key_scale, support_size is not None, points),
+                workers)
+    if any(count < 0 for count in out.weights.values()):
+        raise InternalCheckError("the sweep counted a negative number of points")
+    out.weights = dict(sorted((n, count) for n, count in out.weights.items() if count))
+    if out.points is not None and Counter(out.points.values()) != out.weights:
+        raise InternalCheckError("materialized points disagree with the swept weights")
+    return out
 
 
 # -- public reports -------------------------------------------------------

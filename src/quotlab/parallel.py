@@ -10,7 +10,9 @@ bit-identical for every worker count.  Where ``fork`` is missing or fails
 which cannot change the output.  Forking, and the SIGTERM handler set
 while children run, assume a single-threaded process, as the CLI is.
 Running out of memory, in the parent or in a child, or a child that dies
-(say, by the OOM killer), raises ResourceCapError.
+(say, by the OOM killer), raises ResourceCapError.  The kernel may leave a
+new child on its parent's CPU for the whole run, so that the two take
+turns; each child first steps off that CPU (_leave_cpu).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def _run_forked(fn, tasks, n):
     results: list = [None] * len(tasks)
     children = []  # (k, pid, read end of its pipe), in k order
     reaped = 0
+    cpu = _parent_cpu()
     # a SIGTERM exits through the finally below, which ends the children
     on_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
@@ -69,6 +72,7 @@ def _run_forked(fn, tasks, n):
                 try:
                     signal.signal(signal.SIGTERM, on_sigterm)
                     os.close(r)
+                    _leave_cpu(cpu)
                     try:
                         outcome = (True, [fn(t) for t in tasks[k::n]])
                     except Exception as exc:
@@ -106,6 +110,34 @@ def _run_forked(fn, tasks, n):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         signal.signal(signal.SIGTERM, on_sigterm)
+
+
+def _parent_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or
+    None where that cannot be read or no affinity can be set."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the fields after the command name, which may hold ")", start at field 3
+            return int(fh.read().rpartition(b")")[2].split()[39 - 3])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Where this process may run on a CPU other than ``cpu``, restrict it
+    to the others, which moves it off ``cpu``, and straight back to its
+    full affinity, so that it stays pinned nowhere."""
+    if cpu is None:  # also where the affinity calls are missing
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
 
 
 def _exit_on_signal(signum, frame):

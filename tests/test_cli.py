@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quotlab
-from quotlab import bisectors, cli, lines, quotients
+from quotlab import bisectors, cli, lines, quotients, reports
 from quotlab.cli import main
 from quotlab.polynomials import Poly, bivariate_from_terms
 from quotlab.sets import GroundSet
@@ -573,6 +573,22 @@ def test_output_that_cannot_be_written_is_input_error(tmp_path, capsys, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("writer", ["write_report", "write_csv"])
+def test_output_that_fails_as_it_is_written_is_input_error(tmp_path, monkeypatch, capsys,
+                                                           writer):
+    # a path that passes the checks before the run and fails in the write
+    def fails(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(reports, writer, fails)
+    code, report = run_cli(tmp_path, "quotient", "--g", G_XY, "--set", AP3,
+                           "--values-out", str(tmp_path / "values.csv"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+
 def test_incidences(tmp_path):
     code, report = run_cli(tmp_path, "incidences", "--g", G_X,
                            "--set", '{"kind":"arithmetic","start":0,"step":1,"size":2}',
@@ -645,6 +661,39 @@ def test_bisector_enumerates_the_intercepts_once(tmp_path, monkeypatch):
     assert calls == {"enumerations": 1, "quotient": 1, "histogram": 0}
     assert report["results"]["intercepts"] == len(
         brute_bisector_intercepts(GroundSet.of(1, 2, 3)))
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["chain", "--g", G_X_PLUS_Y2,
+      "--set", '{"kind":"arithmetic","start":1,"step":1,"size":12}'], 2),
+    (["quotient", "--g", G_XY, "--set", AP3], 1),
+    (["bisector", "--set", AP3], 1),
+    (["rich-points", "--g", G_XY, "--set", AP3, "--thresholds", "2"], 1),
+], ids=["chain", "quotient", "bisector", "rich-points"])
+def test_every_enumeration_shards_and_folds_in_the_one_driver(tmp_path, monkeypatch, argv,
+                                                              walks):
+    # the pair walk, the translate walk and the sweep all reach run_chunks
+    # through lines._walk, once per enumeration the run needs
+    calls, inside = [], []
+    walk, run_chunks = lines._walk, lines.run_chunks
+
+    def counted_walk(*args):
+        calls.append("_walk")
+        inside.append(1)
+        try:
+            return walk(*args)
+        finally:
+            inside.pop()
+
+    def checked_run(fn, tasks, workers):
+        calls.append("run_chunks" if inside else "run_chunks outside _walk")
+        return run_chunks(fn, tasks, workers)
+
+    monkeypatch.setattr(lines, "_walk", counted_walk)
+    monkeypatch.setattr(lines, "run_chunks", checked_run)
+    code, report = run_cli(tmp_path, *argv, "--workers", "2")
+    assert code == 0
+    assert calls == ["_walk", "run_chunks"] * walks
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -903,10 +952,11 @@ def test_sweep_that_drops_a_line_pair_exits_four(tmp_path, monkeypatch, capsys):
     kernel = lines._sweep_chunk
 
     def drops_one_pair(args):
-        pairs, weights, cross, points = kernel(args)
-        key = next(iter(cross))
-        cross[key] -= 1
-        return pairs - 1, weights, cross, points
+        part = kernel(args)
+        key = next(iter(part.pairs_by_key))
+        part.pairs_by_key[key] -= 1
+        part.pairs -= 1
+        return part
 
     monkeypatch.setattr(lines, "_sweep_chunk", drops_one_pair)
     code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
@@ -920,9 +970,10 @@ def test_sweep_that_reaches_an_extra_abscissa_exits_four(tmp_path, monkeypatch, 
     kernel = lines._sweep_chunk
 
     def adds_one_key(args):
-        pairs, weights, cross, points = kernel(args)
+        part = kernel(args)
+        cross = part.pairs_by_key
         cross[max(cross) + 1] += 1  # one shard inline: no other key is new
-        return pairs, weights, cross, points
+        return part
 
     monkeypatch.setattr(lines, "_sweep_chunk", adds_one_key)
     code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
@@ -1040,10 +1091,11 @@ def test_sweep_that_counts_a_negative_number_of_points_exits_four(tmp_path, monk
     kernel = lines._sweep_chunk
 
     def overcounts_a_take_back(args):
-        pairs, weights, cross, points = kernel(args)
+        part = kernel(args)
+        weights = part.weights
         n = max(weights)
         weights[n] -= weights[n] + 1
-        return pairs, weights, cross, points
+        return part
 
     monkeypatch.setattr(lines, "_sweep_chunk", overcounts_a_take_back)
     code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3, "--workers", "1")
@@ -1057,9 +1109,9 @@ def test_sweep_that_loses_a_materialized_point_exits_four(tmp_path, monkeypatch,
     kernel = lines._sweep_chunk
 
     def drops_one_point(args):
-        pairs, weights, cross, points = kernel(args)
-        del points[next(iter(points))]
-        return pairs, weights, cross, points
+        part = kernel(args)
+        del part.points[next(iter(part.points))]
+        return part
 
     monkeypatch.setattr(lines, "_sweep_chunk", drops_one_point)
     code, report = run_cli(tmp_path, "rich-points", "--g", G_XY, "--set", AP3,
@@ -1068,6 +1120,25 @@ def test_sweep_that_loses_a_materialized_point_exits_four(tmp_path, monkeypatch,
     assert code == 4
     assert report is None
     assert ("internal check failed: materialized points disagree with the swept weights\n"
+            in capsys.readouterr().err)
+
+
+def test_sweep_fold_that_drops_a_part_s_pairs_by_key_exits_four(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the second shard's per-abscissa counts never reach the chain's check
+    def drops_the_pairs_by_key(self, part):
+        part.pairs_by_key.clear()
+        update(self, part)
+
+    update = lines.CrossingWeights.update
+    monkeypatch.setattr(lines.CrossingWeights, "update", drops_the_pairs_by_key)
+    hist_path = tmp_path / "hist.csv"
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3,
+                           "--histogram-out", str(hist_path), "--workers", "2")
+    assert code == 4
+    assert report is None
+    assert not hist_path.exists()
+    assert ("internal check failed: crossing abscissas differ from histogram support\n"
             in capsys.readouterr().err)
 
 

@@ -346,8 +346,9 @@ def translate_walk(family, weighted, workers=1):
     assert shifts is not None
     first = [c for c, m in zip(family.intercepts[0], family.mults[0])
              for _ in range(m if weighted else 1)]
-    keys = lines.translate_keys(family, shifts, lines._differences(first),
-                                Counter if weighted else set, workers)
+    keys = lines._walk(lines._translate_keys_chunk,
+                       (family.slopes, shifts, lines._differences(first), family.xscale),
+                       family, Counter if weighted else set, workers)
     if weighted:
         return QuadrupleHistogram(keys, family.key_scale)
     return QuotientSet(keys, family.key_scale)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import quotlab
+from quotlab import parallel
 from quotlab.errors import ResourceCapError
 from quotlab.parallel import run_chunks
 
@@ -201,3 +202,48 @@ def test_memory_error_is_a_resource_cap_error():
     for workers in (1, 2):  # inline, and in the parent beside a child
         with pytest.raises(ResourceCapError, match="out of memory"):
             run_chunks(exhausted, [1, 2], workers=workers)
+
+
+class FakeAffinity:
+    """os.sched_getaffinity and os.sched_setaffinity over one mask, with
+    every mask set recorded."""
+
+    def __init__(self, mask, fails=False):
+        self.mask, self.fails, self.set = set(mask), fails, []
+
+    def get(self, pid):
+        assert pid == 0
+        return set(self.mask)
+
+    def put(self, pid, mask):
+        assert pid == 0
+        if self.fails:
+            raise OSError("not permitted")
+        self.set.append(set(mask))
+        self.mask = set(mask)
+
+
+def test_a_child_steps_off_its_parent_s_cpu_and_stays_pinned_nowhere(monkeypatch):
+    for cpu, mask, fails, expected in ((0, {0, 1, 2}, False, [{1, 2}, {0, 1, 2}]),
+                                       (0, {0}, False, []),       # no other CPU: left alone
+                                       (0, {0, 1}, True, []),     # refused: ignored
+                                       (None, {0, 1}, False, [])):  # the CPU was not read
+        fake = FakeAffinity(mask, fails)
+        monkeypatch.setattr(os, "sched_getaffinity", fake.get)
+        monkeypatch.setattr(os, "sched_setaffinity", fake.put)
+        parallel._leave_cpu(cpu)
+        assert fake.set == expected
+        assert fake.mask == mask
+    # no affinity API (say, macOS): the CPU is not read and nothing is called
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert parallel._parent_cpu() is None
+    parallel._leave_cpu(None)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+def test_a_forked_task_sees_its_parent_s_full_affinity():
+    allowed = os.sched_getaffinity(0)
+    assert parallel._parent_cpu() in allowed
+    assert run_chunks(lambda task: os.sched_getaffinity(0), [1, 2, 3], workers=3) == \
+        [allowed] * 3

@@ -63,6 +63,15 @@ def test_repr_of_mixed_rational_polynomial_is_pinned():
     assert repr(g) == "Poly(-1/2*x^2*y + x*y^3 - x + 3/4*y - 2)"
 
 
+def test_polynomials_are_equal_exactly_when_their_terms_are():
+    g = Poly({(1, 1): frac(1), (0, 2): frac(1, 2)})
+    assert g == Poly({(0, 2): frac(1, 2), (1, 1): frac(1)})
+    assert g != Poly({(1, 1): frac(1), (0, 2): frac(1, 3)})
+    assert g != Poly({(1, 1): frac(1)})
+    assert g != g.terms  # not a Poly: the same terms in a dict
+    assert g != "x*y + 1/2*y^2"
+
+
 @given(st.fractions(max_denominator=10), st.fractions(max_denominator=10))
 def test_evaluation_is_additive(x, y):
     rng = random.Random(hash((x, y)) & 0xFFFF)

@@ -68,6 +68,7 @@ def test_quotient_set_difference_ratio_example():
     assert list(values_csv_rows(xs)) == [("-2",), ("-1",), ("-1/2",), ("0",),
                                          ("1/2",), ("1",), ("2",)]
     assert len(xs) == 7
+    assert repr(xs) == "QuotientSet(size=7)"
 
 
 def test_quotient_set_singleton_is_empty():

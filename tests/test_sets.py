@@ -84,6 +84,12 @@ def test_with_size_rejected_for_explicit():
         spec.with_size(4)
 
 
+def test_generate_set_refuses_a_size_below_one_that_from_dict_never_read():
+    spec = SetSpec(kind="arithmetic", start="1", step="1", size=0)
+    with pytest.raises(InputError, match=r"^set size must be >= 1$"):
+        generate_set(spec)
+
+
 def test_ground_set_sorted_distinct():
     ground = GroundSet.of("1/2", -1, 3)
     assert list(ground) == [Fraction(-1), Fraction(1, 2), Fraction(3)]
@@ -93,6 +99,13 @@ def test_ground_set_sorted_distinct():
     assert 4 not in ground
     with pytest.raises(InputError, match="duplicate"):
         GroundSet.of(1, "2/2", 2)
+
+
+def test_ground_set_repr_truncates_after_eight_elements():
+    assert repr(GroundSet.of("1/2", -1, 3)) == "GroundSet({-1, 1/2, 3}, size=3)"
+    assert repr(GroundSet.of(*range(1, 9))) == "GroundSet({1, 2, 3, 4, 5, 6, 7, 8}, size=8)"
+    assert repr(GroundSet.of(*range(1, 10))) == \
+        "GroundSet({1, 2, 3, 4, 5, 6, 7, 8, ...}, size=9)"
 
 
 def test_spec_round_trip():
