@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import bisectors, lines, quotients, reports
-from .errors import DegenerateError, InputError, InternalCheckError, ResourceCapError
+from .errors import OUT_OF_MEMORY, InputError, QuotlabError, ResourceCapError
 from .polynomials import bivariate_from_terms, bivariate_to_terms, degeneracy_test
 from .rationals import as_rational
 from .sets import SetSpec, generate_set
@@ -266,7 +266,7 @@ def _config_echo(config: dict, inp) -> dict:
     if inp.g is not None:
         echo["g"] = bivariate_to_terms(inp.g)
     if inp.set is not None:
-        echo["set"] = inp.set.to_dict()
+        echo["set"] = dict(inp.set)
     echo.pop("output", None)
     return echo
 
@@ -308,22 +308,12 @@ def _run(argv) -> int:
 def main(argv=None) -> int:
     try:
         return _run(argv if argv is not None else sys.argv[1:])
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DegenerateError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 3
+    except QuotlabError as exc:
+        error = exc
     except MemoryError:
-        print("resource cap: out of memory; use a smaller set or fewer workers",
-              file=sys.stderr)
-        return 3
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 4
+        error = ResourceCapError(OUT_OF_MEMORY)
+    print(f"{error.label}: {error}", file=sys.stderr)
+    return error.exit_status
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence, TypeVar
 
-from .errors import ResourceCapError
+from .errors import OUT_OF_MEMORY, ResourceCapError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -45,7 +45,7 @@ def run_chunks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R
             return [fn(t) for t in tasks]
         return _run_forked(fn, tasks, min(workers, len(tasks)))
     except MemoryError:
-        raise ResourceCapError("out of memory; use a smaller set or fewer workers") from None
+        raise ResourceCapError(OUT_OF_MEMORY) from None
 
 
 def _run_forked(fn, tasks, n):

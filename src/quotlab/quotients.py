@@ -14,16 +14,17 @@ the walk over every intercept pair or, when every slope class is a shift
 of the first (g with no mixed term), the translate walk over one
 difference set.  The walk collects the family's integer abscissa keys
 with no gcd: quotient_set keeps the distinct ones, and X is their
-negation; the histogram counts them.  QuotientSet and QuadrupleHistogram
-hold the keys and the family's key_scale, and nothing else: their one
-read-out is the text rows that reports.py writes from the keys, so no
-value becomes a Fraction.  verify_chain builds the family once, reads X
-off as -support(Q), and compares Q key by key with the lowest-slope-line
-sweep of lines.py, a second enumeration that groups the same crossings
-per line (after the translate walk, a second algorithm as well); it
-reads keys as Fractions (key_value) only at its three sampled
-abscissas.  verify_chain and exponent_scan return the dicts that their
-reports carry as ``results``; the CLI writes them as they are.
+negation; the histogram counts them.  QuotientSet holds the keys and the
+family's key_scale, and QuadrupleHistogram is the walk's Counter of the
+keys with that scale as well; their one read-out is the text rows that
+reports.py writes from the keys, so no value becomes a Fraction.
+verify_chain builds the family once, reads X off as -support(Q), and
+compares Q key by key with the lowest-slope-line sweep of lines.py, a
+second enumeration that groups the same crossings per line (after the
+translate walk, a second algorithm as well); it reads keys as Fractions
+(key_value) only at its three sampled abscissas.  verify_chain and
+exponent_scan return the dicts that their reports carry as ``results``;
+the CLI writes them as they are.
 """
 
 from __future__ import annotations
@@ -66,26 +67,12 @@ class QuotientSet:
         return f"QuotientSet(size={len(self)})"
 
 
-class QuadrupleHistogram:
-    """Exact Q(x) per crossing abscissa; total = |A|^3 (|A| - 1).
-
-    ``pairs_by_key``: Q(x)/2 under the family's integer abscissa keys (see
-    lines.py), the walk's own Counter, its keys in merge order; the chain
-    compares it with the sweep.  The counts are read out as text rows
+class QuadrupleHistogram(Counter):
+    """Exact Q(x)/2 under the family's integer abscissa keys (see
+    lines.py): the Counter the pair walk folded its shards into, its keys
+    in merge order, and ``scale``, the family's key_scale.  Q sums to
+    |A|^3 (|A| - 1).  The counts are read out as text rows
     (reports.histogram_csv_rows)."""
-
-    __slots__ = ("pairs_by_key", "scale")
-
-    def __init__(self, pairs_by_key: Counter, scale: tuple[int, int]):
-        self.pairs_by_key = pairs_by_key
-        self.scale = scale
-
-    @property
-    def total(self) -> int:
-        return 2 * sum(self.pairs_by_key.values())
-
-    def __len__(self) -> int:
-        return len(self.pairs_by_key)
 
 
 def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
@@ -98,8 +85,8 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:
-    """Exact Q(x) over the family of g on A x A (build_lines(g, A, A)),
-    held in the Counter the pair walk merged its shards into.
+    """Exact Q(x) over the family of g on A x A (build_lines(g, A, A)):
+    the pair walk's first shard's part, the others folded into it.
 
     The total is not checked here: verify_chain compares it with
     |A|^3 (|A| - 1) computed from |A|, independently of the table."""
@@ -107,8 +94,9 @@ def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHist
     expanded = [[c for c, m in zip(cs, ms) for _ in range(m)]
                 for cs, ms in zip(family.intercepts, family.mults)]
     # each unordered slope pair stands for both ordered ones: Q = 2 * pairs
-    merged = pair_keys(family, expanded, Counter, workers)
-    return QuadrupleHistogram(merged, family.key_scale)
+    hist = pair_keys(family, expanded, QuadrupleHistogram, workers)
+    hist.scale = family.key_scale
+    return hist
 
 
 def require_nondegenerate(g: Poly, allow_degenerate: bool | None = None) -> None:
@@ -159,7 +147,7 @@ def verify_chain(g: Poly, ground: GroundSet,
     family = build_lines(g, ground, ground)
     # The histogram runs first: the sweep's memory check needs |X|.
     hist = quadruple_histogram(family, workers=workers)
-    quadruple_total = hist.total
+    quadruple_total = 2 * hist.total()
     if quadruple_total != n ** 3 * (n - 1):
         raise InternalCheckError(
             f"histogram total {quadruple_total} != |A|^3(|A|-1) = {n ** 3 * (n - 1)}")
@@ -171,30 +159,30 @@ def verify_chain(g: Poly, ground: GroundSet,
         raise InternalCheckError(
             f"the sweep visited {sweep.pairs} line pairs, not the "
             f"{crossing_pair_count(family)} pairs of distinct slopes")
-    swept, pairs = sweep.pairs_by_key, hist.pairs_by_key  # Q(x)/2 by key
-    if swept.keys() != pairs.keys():
+    swept = sweep.pairs_by_key  # Q(x)/2 by key, as hist
+    if swept.keys() != hist.keys():
         raise InternalCheckError("crossing abscissas differ from histogram support")
     # dict equality, in C; two Counters would compare in a Python loop
-    if not dict.__eq__(swept, pairs):
-        key = min(k for k, q in pairs.items() if swept[k] != q)
+    if not dict.__eq__(swept, hist):
+        key = min(k for k, q in hist.items() if swept[k] != q)
         raise InternalCheckError(
             f"per-abscissa quadruple identity failed at {key_value(key, family.key_scale)}")
     # summed over x in support(Q), sum_y n(x, y)^2 = Q(x) + t2
     energy_support = quadruple_total + size_x * t2
     max_point_weight = max(sweep.weights, default=0)
 
-    keys = sorted(pairs)
+    keys = sorted(hist)
     sampled = {keys[i] for i in (0, len(keys) // 2, -1) if keys}
     for key in sampled:
         x = key_value(key, family.key_scale)
         section = vertical_section(family, x).values()
         if sum(section) != n * n:
             raise InternalCheckError(f"vertical mass at {x} is not |A|^2")
-        if sum(m * m for m in section) != 2 * pairs[key] + t2:
+        if sum(m * m for m in section) != 2 * hist[key] + t2:
             raise InternalCheckError(f"energy identity failed at {x}")
 
-    zero_in_support = 0 in pairs  # the key of x = 0 is 0
-    energy_excl = energy_support - zero_in_support * (2 * pairs[0] + t2)
+    zero_in_support = 0 in hist  # the key of x = 0 is 0
+    energy_excl = energy_support - zero_in_support * (2 * hist[0] + t2)
     size_excl = size_x - zero_in_support
 
     size_bound_limit = Fraction(n * n, 4 * degree ** 2)
@@ -231,7 +219,7 @@ def verify_chain(g: Poly, ground: GroundSet,
             "pair_accounting": True,
             "energy_identity": True,
             "vertical_mass_samples": len(sampled),
-        } if pairs else {"empty_instance": True},
+        } if hist else {"empty_instance": True},
     }
     return results, hist
 

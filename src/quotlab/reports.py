@@ -58,9 +58,8 @@ def points_csv_rows(weights) -> Iterable[tuple]:
 
 def histogram_csv_rows(hist) -> Iterable[tuple]:
     """Rows (x, Q(x)) of a QuadrupleHistogram, ascending in x."""
-    pairs = hist.pairs_by_key
-    for key in sorted(pairs):
-        yield (format_key(key, hist.scale), 2 * pairs[key])
+    for key in sorted(hist):
+        yield (format_key(key, hist.scale), 2 * hist[key])
 
 
 def values_csv_rows(values) -> Iterable[tuple]:

@@ -93,9 +93,6 @@ class SetSpec(dict):
     def size(self) -> int:
         return self["size"] if "size" in self else len(self["values"])
 
-    def to_dict(self) -> dict:
-        return dict(self)
-
     def with_size(self, size: int) -> "SetSpec":
         """Same family, different cardinality (for exponent scans)."""
         if "size" not in self:

@@ -126,7 +126,7 @@ def test_criterion_4_conservation_identities():
             x = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
             assert sum(vertical_section(family, x).values()) == n * n
         hist = quadruple_histogram(family)
-        assert hist.total == n ** 3 * (n - 1)
+        assert 2 * hist.total() == n ** 3 * (n - 1)
         assert {-x for x in histogram_rows(hist)} == set(value_rows(quotient_set(g, ground)))
     report_line(4, True, "mass, quadruple-count, and sign-bridge identities "
                          "exact on 20 seeded instances (|A| <= 12, deg <= 4)")

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +13,7 @@ import pytest
 import quotlab
 from quotlab import bisectors, cli, lines, quotients, reports
 from quotlab.cli import main
+from quotlab.errors import DegenerateError, InputError, InternalCheckError, ResourceCapError
 from quotlab.polynomials import Poly, bivariate_from_terms
 from quotlab.sets import GroundSet
 
@@ -128,8 +128,8 @@ def test_chain_enumerates_the_histogram_once(tmp_path, monkeypatch):
     kernel = lines._pair_keys_chunk
 
     def counted(args):
-        # the pair walk collects into a Counter for Q and a set for X
-        calls["histogram" if args[-1] is Counter else "quotient"] += 1
+        # the pair walk collects into a QuadrupleHistogram for Q and a set for X
+        calls["histogram" if args[-1] is quotients.QuadrupleHistogram else "quotient"] += 1
         return kernel(args)
 
     monkeypatch.setattr(lines, "_pair_keys_chunk", counted)
@@ -201,7 +201,7 @@ def test_failed_internal_check_exits_four(tmp_path, monkeypatch, capsys):
 
     def drops_one_count(args):
         out = kernel(args)
-        if args[-1] is Counter:
+        if args[-1] is quotients.QuadrupleHistogram:
             out[next(iter(out))] -= 1
         return out
 
@@ -648,7 +648,7 @@ def test_bisector_enumerates_the_intercepts_once(tmp_path, monkeypatch):
         return run_chunks(*args, **kwargs)
 
     def counted_kernel(args):
-        calls["histogram" if args[-1] is Counter else "quotient"] += 1
+        calls["histogram" if args[-1] is quotients.QuadrupleHistogram else "quotient"] += 1
         return kernel(args)
 
     monkeypatch.setattr(lines, "run_chunks", counted_run)
@@ -891,12 +891,12 @@ def test_missing_required_field_is_input_error(tmp_path):
 def count_kernel_calls(monkeypatch):
     """Counts the calls of each kernel (inline runs, so the counts are seen
     here); the pair walk counts as the histogram when it collects into a
-    Counter and as the quotient set when it collects into a set."""
+    QuadrupleHistogram and as the quotient set when it collects into a set."""
     calls = {"histogram": 0, "quotient": 0, "sweep": 0}
     walk, sweep = lines._pair_keys_chunk, lines._sweep_chunk
 
     def counted_walk(args):
-        calls["histogram" if args[-1] is Counter else "quotient"] += 1
+        calls["histogram" if args[-1] is quotients.QuadrupleHistogram else "quotient"] += 1
         return walk(args)
 
     def counted_sweep(args):
@@ -920,6 +920,28 @@ def test_memory_cap_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "resource cap: crossing aggregation refused: estimated" in err
     assert "(36 lines + 0 abscissas) x 500 B x 1)" in err
+
+
+@pytest.mark.parametrize("error, status, line", [
+    (InputError("no such set"), 1, "error: no such set"),
+    (DegenerateError("g collapses"), 2, "hypothesis violation: g collapses"),
+    (ResourceCapError("too large"), 3, "resource cap: too large"),
+    (InternalCheckError("Q moved"), 4, "internal check failed: Q moved"),
+    (MemoryError(), 3, "resource cap: out of memory; use a smaller set or fewer workers"),
+])
+def test_each_error_kind_has_its_exit_status_and_stderr_line(tmp_path, monkeypatch, capsys,
+                                                             error, status, line):
+    def raises(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(quotients, "verify_chain", raises)
+    code, report = run_cli(tmp_path, "chain", "--g", G_XY, "--set", AP3)
+    assert code == status
+    assert report is None
+    assert capsys.readouterr().err == line + "\n"
+    # a MemoryError is reported as a ResourceCapError
+    kind = ResourceCapError if type(error) is MemoryError else type(error)
+    assert (kind.exit_status, kind.label) == (status, line.partition(":")[0])
 
 
 def test_memory_error_outside_the_workers_exits_three(tmp_path, monkeypatch, capsys):
@@ -990,7 +1012,7 @@ def test_histogram_count_moved_between_abscissas_exits_four(tmp_path, monkeypatc
 
     def moves_one_count(args):
         out = kernel(args)
-        if args[-1] is Counter:
+        if args[-1] is quotients.QuadrupleHistogram:
             # from the first key walked to the smallest: the total is kept
             first, smallest = next(iter(out)), min(out)
             assert first != smallest

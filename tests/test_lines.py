@@ -333,7 +333,7 @@ def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
                 merged = lines.pair_keys(family, family.intercepts, collect, workers)
                 assert len(made) == len(lines._class_shards(family, workers))
                 assert merged is parts[0]
-            assert quadruple_histogram(family, workers=workers).pairs_by_key is parts[0]
+            assert quadruple_histogram(family, workers=workers) is parts[0]
 
 
 # -- the translate walk ---------------------------------------------------------
@@ -348,9 +348,10 @@ def translate_walk(family, weighted, workers=1):
              for _ in range(m if weighted else 1)]
     keys = lines._walk(lines._translate_keys_chunk,
                        (family.slopes, shifts, lines._differences(first), family.xscale),
-                       family, Counter if weighted else set, workers)
+                       family, QuadrupleHistogram if weighted else set, workers)
     if weighted:
-        return QuadrupleHistogram(keys, family.key_scale)
+        keys.scale = family.key_scale
+        return keys
     return QuotientSet(keys, family.key_scale)
 
 

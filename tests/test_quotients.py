@@ -45,7 +45,7 @@ def same_set(a, b):
 
 
 def same_histogram(a, b):
-    return a.pairs_by_key == b.pairs_by_key and a.scale == b.scale
+    return a == b and a.scale == b.scale
 
 
 def key_of(x, scale):
@@ -169,14 +169,14 @@ QUOTIENT_FIRST_USES = {
 
 HISTOGRAM_FIRST_USES = {
     "len": lambda hist, expected: len(hist) == len(expected),
-    "total": lambda hist, expected: hist.total == sum(expected.values()),
+    "total": lambda hist, expected: 2 * hist.total() == sum(expected.values()),
     "support": lambda hist, expected: ([x for x, _ in histogram_csv_rows(hist)]
                                        == [str(x) for x in expected]),
     "counts": lambda hist, expected: list(histogram_rows(hist).items()) == list(expected.items()),
     # Q(x) is twice the pair count at the key of x, and 0 where x has no key
     "getitem": lambda hist, expected: (
-        all(2 * hist.pairs_by_key[key_of(x, hist.scale)] == q for x, q in expected.items())
-        and not any(key_of(x, hist.scale) in hist.pairs_by_key
+        all(2 * hist[key_of(x, hist.scale)] == q for x, q in expected.items())
+        and not any(key_of(x, hist.scale) in hist
                     for x in non_members(tuple(expected)))),
 }
 
@@ -219,7 +219,7 @@ def test_quotient_set_workers_equivalent():
 def test_histogram_worked_example():
     hist = histogram(G_X, interval(0, 1))
     assert list(histogram_csv_rows(hist)) == [("-1", 2), ("0", 4), ("1", 2)]
-    assert hist.total == 8
+    assert 2 * hist.total() == 8
 
 
 def test_histogram_collapsed_quadratic():
@@ -246,9 +246,13 @@ def test_histogram_conservation_and_bridge(seed):
     rng = random.Random(seed)
     g = random_polynomial(rng)
     ground = random_ground_set(rng, rng.randint(2, 7))
-    hist = histogram(g, ground)
+    family = build_lines(g, ground, ground)
+    hist = quadruple_histogram(family)
     n = len(ground)
-    assert hist.total == n ** 3 * (n - 1)
+    # the walk's Counter of the keys, Q(x)/2 each, with the family's scale
+    assert isinstance(hist, Counter)
+    assert 2 * hist.total() == n ** 3 * (n - 1)
+    assert hist.scale == family.key_scale
     # rows ascend in x, so -x descends
     assert [-x for x in histogram_rows(hist)][::-1] == value_rows(quotient_set(g, ground))
 
@@ -272,7 +276,7 @@ def test_histogram_workers_equivalent():
     # a translate family, as in test_quotient_set_workers_equivalent
     ground = interval(*range(1, 13))
     base = histogram(G_X_PLUS_Y2, ground, workers=1)
-    assert base.total == 12 ** 3 * 11
+    assert 2 * base.total() == 12 ** 3 * 11
     for workers in (2, 3):
         assert same_histogram(histogram(G_X_PLUS_Y2, ground, workers=workers), base)
 

@@ -110,7 +110,7 @@ def test_ground_set_repr_truncates_after_eight_elements():
 
 def test_spec_round_trip():
     raw = {"kind": "geometric", "size": 5, "start": "1/2", "ratio": "3"}
-    assert SetSpec.from_dict(raw).to_dict() == raw
+    assert dict(SetSpec.from_dict(raw)) == raw
 
 
 @pytest.mark.parametrize("fields", [
