@@ -12,8 +12,7 @@ from .lines import (Line, LineMultiset, build_lines, vertical_section,
 from .quotients import (QuotientSet, QuadrupleHistogram, quotient_set,
                         quadruple_histogram, verify_chain, exponent_scan,
                         fit_loglog_slope)
-from .bisectors import (InterceptSet, bisector_intercept_set,
-                        intercept_quotient_poly)
+from .bisectors import bisector_intercept_set, intercept_quotient_poly
 from .errors import (QuotlabError, InputError, DegenerateError,
                      ResourceCapError, InternalCheckError)
 
@@ -27,7 +26,7 @@ __all__ = [
     "rich_point_reports", "incidences",
     "QuotientSet", "QuadrupleHistogram", "quotient_set", "quadruple_histogram",
     "verify_chain", "exponent_scan", "fit_loglog_slope",
-    "InterceptSet", "bisector_intercept_set", "intercept_quotient_poly",
+    "bisector_intercept_set", "intercept_quotient_poly",
     "QuotlabError", "InputError", "DegenerateError", "ResourceCapError",
     "InternalCheckError",
 ]

@@ -7,10 +7,10 @@ y-axis at
 
 which is also the difference quotient of the quadratic
 g(x, y) = -(x^2 + y^2)/2 at the pair, so the full intercept set is the
-quotient set of that polynomial over A: one enumeration, with the
-grid-pair counts in closed form.  The tests check the set against the
-closed form on every pair and against the midpoint-plus-perpendicular
-construction.
+quotient set of that polynomial over A: one enumeration, whose
+QuotientSet carries the grid-pair counts in closed form.  The tests
+check the set against the closed form on every pair and against the
+midpoint-plus-perpendicular construction.
 """
 
 from __future__ import annotations
@@ -30,23 +30,17 @@ def intercept_quotient_poly() -> Poly:
     return Poly({(2, 0): Fraction(-1, 2), (0, 2): Fraction(-1, 2)})
 
 
-class InterceptSet(QuotientSet):
-    """The distinct bisector intercepts of the grid A x A: the quotient set
-    of intercept_quotient_poly() on A, with the grid's pair counts."""
-
-    __slots__ = ("grid_size", "pairs_considered", "pairs_skipped")
-
-
-def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> InterceptSet:
+def bisector_intercept_set(ground: GroundSet, workers: int = 1) -> QuotientSet:
     """All y-axis intercepts of bisectors of distinct grid points p, q in
     A x A with p.y != q.y (each unordered pair once; the intercept is
-    symmetric in p and q).  Of the C(n^2, 2) grid pairs, the n C(n, 2)
+    symmetric in p and q): the quotient set of intercept_quotient_poly()
+    on A, with the grid's pair counts ``grid_size``, ``pairs_considered``
+    and ``pairs_skipped``.  Of the C(n^2, 2) grid pairs, the n C(n, 2)
     that share a y-coordinate are skipped."""
     n = len(ground)
     if n < 2:
         raise InputError("bisector experiment needs |A| >= 2")
-    values = quotient_set(intercept_quotient_poly(), ground, workers)
-    out = InterceptSet(values.keys, values.scale)
+    out = quotient_set(intercept_quotient_poly(), ground, workers)
     out.grid_size = n * n
     out.pairs_skipped = n * comb(n, 2)
     out.pairs_considered = comb(n * n, 2) - out.pairs_skipped

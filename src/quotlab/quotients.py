@@ -14,9 +14,9 @@ the walk over every intercept pair or, when every slope class is a shift
 of the first (g with no mixed term), the translate walk over one
 difference set.  The walk collects the family's integer abscissa keys
 with no gcd: quotient_set keeps the distinct ones, and X is their
-negation; the histogram counts them.  QuotientSet holds the keys and the
-family's key_scale, and QuadrupleHistogram is the walk's Counter of the
-keys with that scale as well; their one read-out is the text rows that
+negation; the histogram counts them.  QuotientSet is the walk's set of
+the keys and QuadrupleHistogram its Counter of them, each with the
+family's key_scale as ``scale``; their one read-out is the text rows that
 reports.py writes from the keys, so no value becomes a Fraction.
 verify_chain builds the family once, reads X off as -support(Q), and
 compares Q key by key with the lowest-slope-line sweep of lines.py, a
@@ -49,19 +49,11 @@ def key_value(key: int, scale: tuple[int, int]) -> Fraction:
     return Fraction(key * num, den)
 
 
-class QuotientSet:
-    """Distinct quotient values, denominator convention b2 - b1: the
-    negated abscissa keys of a family under its key_scale.  The values
-    are read out as text rows (reports.values_csv_rows)."""
-
-    __slots__ = ("keys", "scale")
-
-    def __init__(self, keys: set[int], scale: tuple[int, int]):
-        self.keys = keys
-        self.scale = scale
-
-    def __len__(self) -> int:
-        return len(self.keys)
+class QuotientSet(set):
+    """Distinct quotient values, denominator convention b2 - b1: the pair
+    walk's set of a family's abscissa keys, whose negations are the
+    values, with ``scale``, the family's key_scale.  The values are read
+    out as text rows (reports.values_csv_rows)."""
 
     def __repr__(self) -> str:
         return f"QuotientSet(size={len(self)})"
@@ -79,9 +71,12 @@ def quotient_set(g: Poly, ground: GroundSet, workers: int = 1) -> QuotientSet:
     """All values (g(a1,b1) - g(a2,b2))/(b2 - b1) over quadruples from A
     with b1 != b2, deduplicated.  Empty when |A| = 1.  The lines of
     g(a1, b_i) and g(a2, b_j) cross at x = (c_i - c_j) / (b_j - b_i) with
-    c = -g(a, b), which is minus the quotient: X is the negated keys."""
+    c = -g(a, b), which is minus the quotient: X is the negated keys.
+    The pair walk's first shard's part, the others folded into it."""
     family = build_lines(g, ground, ground)
-    return QuotientSet(pair_keys(family, family.intercepts, set, workers), family.key_scale)
+    values = pair_keys(family, family.intercepts, QuotientSet, workers)
+    values.scale = family.key_scale
+    return values
 
 
 def quadruple_histogram(family: LineMultiset, workers: int = 1) -> QuadrupleHistogram:

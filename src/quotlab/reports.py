@@ -63,8 +63,8 @@ def histogram_csv_rows(hist) -> Iterable[tuple]:
 
 
 def values_csv_rows(values) -> Iterable[tuple]:
-    """Rows (value,) of a QuotientSet, ascending: its keys negated."""
-    for key in sorted(values.keys, reverse=True):
+    """Rows (value,) of a QuotientSet, ascending: the set's keys negated."""
+    for key in sorted(values, reverse=True):
         yield (format_key(-key, values.scale),)
 
 

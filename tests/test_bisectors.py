@@ -94,7 +94,7 @@ def test_intercept_set_workers_equivalent():
     assert base.pairs_considered + base.pairs_skipped == 300
     for workers in (2, 3, 4, 7):
         multi = bisector_intercept_set(ground, workers=workers)
-        assert (base.keys, base.scale) == (multi.keys, multi.scale)
+        assert (base, base.scale) == (multi, multi.scale)
         assert base.pairs_considered == multi.pairs_considered
         assert base.pairs_skipped == multi.pairs_skipped
 
@@ -104,8 +104,12 @@ def test_intercept_set_is_the_quotient_set_of_the_quadratic():
     expected = quotient_set(intercept_quotient_poly(), ground)
     for workers in (1, 2, 3):
         intercepts = bisector_intercept_set(ground, workers=workers)
-        assert isinstance(intercepts, QuotientSet)
-        assert (intercepts.keys, intercepts.scale) == (expected.keys, expected.scale)
+        # the quotient set itself, with the grid's pair counts set on it
+        assert type(intercepts) is QuotientSet
+        assert (intercepts, intercepts.scale) == (expected, expected.scale)
+        assert intercepts.grid_size == len(ground) ** 2
+        assert (intercepts.pairs_considered, intercepts.pairs_skipped) == \
+            brute_grid_pair_counts(ground)
         assert len(intercepts) == len(expected) == len(set(value_rows(intercepts)))
         assert list(values_csv_rows(intercepts)) == list(values_csv_rows(expected))
 

@@ -1358,14 +1358,17 @@ SIX = '{"kind":"arithmetic","start":1,"step":1,"size":6}'
       "parallel.run_chunks"},
      lambda results: {"lines.distinct_lines": 36}),
     (["bisector", "--set", SIX, "--intercepts-out"],
-     {"bisectors.bisector_intercept_set"},
+     {"bisectors.bisector_intercept_set", "quotients.quotient_set"},
      lambda results: {"bisectors.intercepts": results["intercepts"],
-                      "bisectors.pairs_considered": results["pairs_considered"]}),
+                      "bisectors.pairs_considered": results["pairs_considered"],
+                      # one walk: the intercept set is quotient_set's own result
+                      "quotients.size_x": results["intercepts"]}),
 ], ids=["chain", "bisector"])
 def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv, spans_seen, counts):
     # perfbench/tracer.py wraps functions of src by name and reads Line and
-    # LineMultiset.lines, len() of each kernel result, InterceptSet.pairs_considered
-    # and run_chunks' positional arguments: a rename or a reshaped type breaks it
+    # LineMultiset.lines, len() of each kernel result, the pairs_considered
+    # attribute of bisector_intercept_set's result and run_chunks' positional
+    # arguments: a rename or a reshaped type breaks it
     src = Path(quotlab.__file__).resolve().parent.parent
     tracer = src.parent / "perfbench" / "tracer.py"
     env = dict(os.environ)

@@ -6,7 +6,7 @@ DELETED = {
     "depends_on_x", "PlanarPoint", "bisector_y_intercept", "rich_points",
     "energy_restricted", "intersection_points", "PointMultiplicity",
     "ChainReport", "ScanReport", "RichPointReport", "IncidenceReport",
-    "slice_difference",
+    "slice_difference", "InterceptSet",
 }
 
 

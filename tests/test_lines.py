@@ -317,10 +317,13 @@ def test_pair_walk_folds_the_shards_into_the_first_part(monkeypatch):
 
     monkeypatch.setattr(lines, "run_chunks", inline)
     one_class = family_of([Line(frac(2), frac(c), 1) for c in range(3)])
-    families = [one_class] + [build_lines(g, ground, ground) for g, ground in (
-        (G_XY, GroundSet.of(*range(1, 7))),
-        (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))),  # repeated lines
-        (G_X_PLUS_Y2, GroundSet.of(*range(1, 13))))]  # the translate walk
+    instances = ((G_XY, GroundSet.of(*range(1, 7))),
+                 (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4))),  # repeated lines
+                 (G_X_PLUS_Y2, GroundSet.of(*range(1, 13))))  # the translate walk
+    for g, ground in instances:
+        for workers in (1, 2, 3):
+            assert quotient_set(g, ground, workers=workers) is parts[0]
+    families = [one_class] + [build_lines(g, ground, ground) for g, ground in instances]
     for family in families:
         for workers in (1, 2, 3):
             for kind in (set, Counter):
@@ -348,11 +351,9 @@ def translate_walk(family, weighted, workers=1):
              for _ in range(m if weighted else 1)]
     keys = lines._walk(lines._translate_keys_chunk,
                        (family.slopes, shifts, lines._differences(first), family.xscale),
-                       family, QuadrupleHistogram if weighted else set, workers)
-    if weighted:
-        keys.scale = family.key_scale
-        return keys
-    return QuotientSet(keys, family.key_scale)
+                       family, QuadrupleHistogram if weighted else QuotientSet, workers)
+    keys.scale = family.key_scale
+    return keys
 
 
 TRANSLATE_FAMILIES = {

@@ -41,7 +41,7 @@ def histogram(g, ground, workers=1):
 
 
 def same_set(a, b):
-    return a.keys == b.keys and a.scale == b.scale
+    return a == b and a.scale == b.scale
 
 
 def same_histogram(a, b):
@@ -156,10 +156,10 @@ def non_members(ascending):
 # Fractions, and "values" and "counts" parse the CSV rows.
 QUOTIENT_FIRST_USES = {
     "len": lambda xs, fresh, expected: len(xs) == len(expected),
-    # x is in X when -x has an integer key among xs.keys
+    # x is in X when -x has an integer key among xs
     "in": lambda xs, fresh, expected: (
-        all(key_of(-v, xs.scale) in xs.keys for v in expected)
-        and not any(key_of(-v, xs.scale) in xs.keys for v in non_members(expected))),
+        all(key_of(-v, xs.scale) in xs for v in expected)
+        and not any(key_of(-v, xs.scale) in xs for v in non_members(expected))),
     "==": lambda xs, fresh, expected: (same_set(xs, fresh())
                                        and same_set(xs, quotient_set(G_X, interval(1)))
                                        == (not expected)),
@@ -204,6 +204,9 @@ def test_histogram_first_use_matches_brute_force(name, use):
 def test_quotient_set_workers_equivalent():
     ground = interval(*range(1, 9))
     base = quotient_set(G_XY, ground, workers=1)
+    # the walk's set of keys itself, with the family's scale on it
+    assert isinstance(base, set)
+    assert base.scale == build_lines(G_XY, ground, ground).key_scale
     assert same_set(quotient_set(G_XY, ground, workers=3), base)
     assert same_set(quotient_set(G_XY, ground, workers=8), base)
     # a translate family: the translate walk, sharded by class pairs
