@@ -116,7 +116,7 @@ _OPTIONAL = {"workers": 1, "allow_degenerate": False}
 # (results, CSV rows); the rows are lazy and read only when the CSV is asked for.
 
 def _degeneracy(inp):
-    return {**degeneracy_test(inp.g)._asdict(), "total_degree": inp.g.total_degree()}, None
+    return {**degeneracy_test(inp.g), "total_degree": inp.g.total_degree()}, None
 
 
 def _quotient(inp):

@@ -16,9 +16,9 @@ cleared once, g is evaluated |A||B| times on the integer grid, equal
 sorts them into the table, where one gcd brings lc down to the lcm of the
 intercepts' denominators.  A run-time anchor ties that evaluation to g:
 at the first, middle and last elements of A and of B, Poly.evaluate must
-give a line of the table.  The Fraction lines (LineMultiset.lines) are a
-view of the table, rebuilt on each read for the tests and the perfbench
-tracer; incidences looks points up in the integer table.
+give a line of the table.  LineMultiset.lines, the lines as Fraction
+triples, is a view of the table for the perfbench tracer alone;
+incidences looks points up in the integer table.
 
 Lines of classes i < j cross at the x whose key x*lc*M/lb =
 (C_i - C_j) * (M / (S_j - S_i)) is an integer; keys identify x exactly
@@ -63,7 +63,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .parallel import run_chunks
@@ -76,14 +76,6 @@ from .sets import GroundSet
 # and per materialized point (dict entry and output row).
 SWEEP_ENTRY_BYTES = 500
 POINT_BYTES = 600
-
-
-class Line(NamedTuple):
-    """One distinct line with the number of pairs (a, b) that give it."""
-
-    slope: Fraction
-    intercept: Fraction
-    multiplicity: int
 
 
 class LineMultiset:
@@ -110,14 +102,14 @@ class LineMultiset:
         self.xscale = lcm(*(sj - si for k, si in enumerate(sb) for sj in sb[k + 1:]))
 
     @property
-    def lines(self) -> tuple[Line, ...]:
-        """The lines as Fractions, sorted by (slope, intercept), built on
-        each read."""
-        lines: list[Line] = []
-        for s, cs, ms in zip(self.slopes, self.intercepts, self.mults):
-            slope = Fraction(s, self.lb)
-            lines += [Line(slope, Fraction(c, self.lc), m) for c, m in zip(cs, ms)]
-        return tuple(lines)
+    def lines(self) -> tuple[tuple[Fraction, Fraction, int], ...]:
+        """(slope, intercept, multiplicity) per line, sorted by (slope,
+        intercept), built on each read.  It stays only because
+        perfbench/tracer.py counts it, and goes when the tracer reads its
+        counts from the reports."""
+        return tuple((Fraction(s, self.lb), Fraction(c, self.lc), m)
+                     for s, cs, ms in zip(self.slopes, self.intercepts, self.mults)
+                     for c, m in zip(cs, ms))
 
     def __len__(self) -> int:
         return sum(map(len, self.intercepts))
@@ -313,7 +305,7 @@ def _sweep_chunk(args):
     family, lo, hi, collect = args
     out = collect()
     sb, xscale, intercepts, mults = family.slopes, family.xscale, family.intercepts, family.mults
-    unit = all(m == 1 for ms in mults for m in ms)
+    unit = family.max_multiplicity == 1
     weights, cross, points = out.weights, out.pairs_by_key, out.points
     # unit multiplicities: the shard's groups by size c (m = 1, M_l = c), read at the end
     unit_sizes: Counter = Counter()

@@ -15,7 +15,7 @@ in the test oracles as the reference it is checked against.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError
 from .rationals import as_rational, format_rational
@@ -118,13 +118,9 @@ def bivariate_to_terms(g: Poly) -> list[dict]:
 # -- the x-dependence verdict -------------------------------------------
 
 
-class DegeneracyVerdict(NamedTuple):
-    degenerate: bool
-    witness: str
-
-
-def degeneracy_test(g: Poly) -> DegeneracyVerdict:
-    """Decide whether y2 - y1 divides g(x1, y1) - g(x2, y2).
+def degeneracy_test(g: Poly) -> dict:
+    """Decide whether y2 - y1 divides g(x1, y1) - g(x2, y2): the dict
+    {"degenerate": bool, "witness": str} that the degeneracy report carries.
 
     The criterion: the slice difference g(x1, y) - g(x2, y) is
     identically zero.  Each term c*x^i*y^j with i > 0 gives
@@ -139,8 +135,8 @@ def degeneracy_test(g: Poly) -> DegeneracyVerdict:
         if i:
             diff[(i, 0, j)], diff[(0, i, j)] = c, -c
     if diff:
-        return DegeneracyVerdict(False, "g(x1,y) - g(x2,y) = "
-                                 f"{_format_terms(diff, ('x1', 'x2', 'y'))}, not identically zero")
+        return {"degenerate": False, "witness": "g(x1,y) - g(x2,y) = "
+                f"{_format_terms(diff, ('x1', 'x2', 'y'))}, not identically zero"}
     cofactor = {(k, j - 1 - k): -c for (_, j), c in g.terms.items() for k in range(j)}
-    return DegeneracyVerdict(True, "g has no x-dependent term; g(x1,y1) - g(x2,y2) = "
-                             f"(y2 - y1) * ({_format_terms(cofactor, ('y1', 'y2'))})")
+    return {"degenerate": True, "witness": "g has no x-dependent term; g(x1,y1) - g(x2,y2) = "
+            f"(y2 - y1) * ({_format_terms(cofactor, ('y1', 'y2'))})"}

@@ -99,9 +99,9 @@ def require_nondegenerate(g: Poly, allow_degenerate: bool | None = None) -> None
     ``allow_degenerate`` None, as in verify_chain, refuses it with no
     ``--allow-degenerate`` hint, since no flag can let it through."""
     verdict = degeneracy_test(g)
-    if verdict.degenerate and not allow_degenerate:
+    if verdict["degenerate"] and not allow_degenerate:
         hint = "" if allow_degenerate is None else " (pass --allow-degenerate to chart it anyway)"
-        raise DegenerateError(f"theorem hypotheses violated: {verdict.witness}{hint}")
+        raise DegenerateError(f"theorem hypotheses violated: {verdict['witness']}{hint}")
 
 
 # -- the verification chain ------------------------------------------------

@@ -7,7 +7,7 @@ so a match is meaningful.  Only usable at small |A| (quartic loops).
 energy_restricted reads quotlab's vertical sections, which the tests
 check, keyed by y through section_by_y, against brute_vertical_section,
 and nothing of the sweep.
-family_of builds a family from hand-made Fraction lines, the reference
+family_of builds a family from hand-made Fraction Lines, the reference
 that build_lines, which evaluates g in integers, is compared against; it
 shares only the LineMultiset constructor, which sorts the columns.
 value_rows and histogram_rows read a result the way a user does: they
@@ -20,10 +20,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from quotlab.errors import InputError
-from quotlab.lines import Line, LineMultiset, vertical_section
+from quotlab.lines import LineMultiset, vertical_section
 from quotlab.polynomials import Poly
 from quotlab.rationals import format_rational
 from quotlab.reports import histogram_csv_rows, values_csv_rows
@@ -39,6 +39,15 @@ def scaled_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     scale = lcm(*(v.denominator for v in values)) if values else 1
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+class Line(NamedTuple):
+    """One hand-made distinct line with the number of pairs (a, b) that
+    give it."""
+
+    slope: Fraction
+    intercept: Fraction
+    multiplicity: int
 
 
 def family_of(lines: Sequence[Line]) -> LineMultiset:

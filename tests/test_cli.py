@@ -56,6 +56,9 @@ def test_degeneracy_non_degenerate(tmp_path):
     code, report = run_cli(tmp_path, "degeneracy", "--g", G_XY)
     assert code == 0
     assert report["results"]["degenerate"] is False
+    assert report["results"] == {
+        "degenerate": False, "total_degree": 2,
+        "witness": "g(x1,y) - g(x2,y) = x1*y - x2*y, not identically zero"}
 
 
 def test_quotient_difference_ratio(tmp_path):
@@ -1365,10 +1368,11 @@ SIX = '{"kind":"arithmetic","start":1,"step":1,"size":6}'
                       "quotients.size_x": results["intercepts"]}),
 ], ids=["chain", "bisector"])
 def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv, spans_seen, counts):
-    # perfbench/tracer.py wraps functions of src by name and reads Line and
-    # LineMultiset.lines, len() of each kernel result, the pairs_considered
-    # attribute of bisector_intercept_set's result and run_chunks' positional
-    # arguments: a rename or a reshaped type breaks it
+    # perfbench/tracer.py wraps functions of src by name and reads
+    # len(LineMultiset.lines), which equals the family's len(), len() of each
+    # kernel result, the pairs_considered attribute of bisector_intercept_set's
+    # result and run_chunks' positional arguments: a rename or a reshaped
+    # type breaks it
     src = Path(quotlab.__file__).resolve().parent.parent
     tracer = src.parent / "perfbench" / "tracer.py"
     env = dict(os.environ)
@@ -1387,8 +1391,9 @@ def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv, spans_seen, counts):
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():
     # set-up time: only runs that fork children import pickle, no run
-    # imports concurrent.futures or multiprocessing, and the result types
-    # are named tuples or slotted classes, not dataclasses
+    # imports concurrent.futures or multiprocessing, and the results are
+    # plain dicts and tuples, subclasses of set, Counter and tuple, and
+    # slotted classes, not dataclasses
     src = str(Path(quotlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

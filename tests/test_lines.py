@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quotlab import lines
 from quotlab.bisectors import bisector_intercept_set, intercept_quotient_poly
 from quotlab.errors import InputError, ResourceCapError
-from quotlab.lines import (Line, build_lines, check_crossing_memory, crossing_pair_count,
+from quotlab.lines import (build_lines, check_crossing_memory, crossing_pair_count,
                            crossing_weights, incidences, rich_point_reports,
                            vertical_section)
 from quotlab.polynomials import Poly
@@ -20,7 +20,7 @@ from quotlab.quotients import (QuadrupleHistogram, QuotientSet, exponent_scan,
 from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet, SetSpec
 
-from oracles import (brute_energy, brute_incidences, brute_intersection_points,
+from oracles import (Line, brute_energy, brute_incidences, brute_intersection_points,
                      brute_quadruple_histogram, brute_quotient_set, brute_vertical_section,
                      energy_restricted, family_of, histogram_rows, instance_lines,
                      point_rows, random_ground_set, random_polynomial, section_by_y,
@@ -57,7 +57,7 @@ def rich(family, t):
 
 def test_build_lines_four_distinct():
     family = build_lines(G_X, A01, A01)
-    rows = {(l.slope, l.intercept): l.multiplicity for l in family.lines}
+    rows = {(slope, intercept): m for slope, intercept, m in family.lines}
     assert rows == {(frac(0), frac(0)): 1, (frac(0), frac(-1)): 1,
                     (frac(1), frac(0)): 1, (frac(1), frac(-1)): 1}
     assert family.total_weight == 4
@@ -68,15 +68,15 @@ def test_build_lines_merges_equal_lines():
     ground_a, ground_b = GroundSet.of(1, 2), GroundSet.of(3)
     family = build_lines(G_Y2, ground_a, ground_b)
     assert len(family) == 1
-    line = family.lines[0]
-    assert (line.slope, line.intercept, line.multiplicity) == (frac(3), frac(-9), 2)
+    slope, intercept, m = family.lines[0]
+    assert (slope, intercept, m) == (frac(3), frac(-9), 2)
     # both source pairs (1, 3) and (2, 3) give exactly this line
-    assert instance_lines(G_Y2, ground_a, ground_b) == [(line.slope, line.intercept)] * 2
+    assert instance_lines(G_Y2, ground_a, ground_b) == [(slope, intercept)] * 2
 
 
 def test_build_lines_singleton():
     family = build_lines(G_X, GroundSet.of(5), GroundSet.of(5))
-    assert [(l.slope, l.intercept) for l in family.lines] == [(frac(5), frac(-5))]
+    assert [(slope, intercept) for slope, intercept, _m in family.lines] == [(frac(5), frac(-5))]
 
 
 def test_build_lines_collapsing_slope_reports_multiplicity():
@@ -253,7 +253,11 @@ def test_crossing_pair_count_counts_line_pairs_with_distinct_slopes():
                       (G_XY, GroundSet.of(*range(5))),         # b = 0 collapses 5 lines
                       (G_X2_PLUS_Y, GroundSet.of(*range(-3, 4)))):  # a, -a merge
         family = build_lines(g, ground, ground)
-        pairs = sum(1 for l1, l2 in combinations(family.lines, 2) if l1.slope != l2.slope)
+        # the tracer's view: plain triples, one per distinct line
+        assert all(type(line) is tuple for line in family.lines)
+        assert len(family.lines) == len(family)
+        pairs = sum(1 for (s1, _c1, _m1), (s2, _c2, _m2) in combinations(family.lines, 2)
+                    if s1 != s2)
         assert crossing_pair_count(family) == pairs
         assert len(crossing_weights(family)) <= pairs
         for workers in (1, 2, 3):
@@ -553,7 +557,7 @@ def test_incidences_grid_with_weighted_horizontals():
     report = incidences(grid, family)
     assert family.total_weight == 6
     assert report["count"] == 18
-    rows = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
+    rows = list(family.lines)
     assert report["count"] == brute_incidences(grid, rows)
 
 
@@ -566,7 +570,7 @@ def test_incidences_match_brute_force(seed):
     family = build_lines(g, ground, ground)
     pts = [(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
            for _ in range(6)]
-    weighted = [(l.slope, l.intercept, l.multiplicity) for l in family.lines]
+    weighted = list(family.lines)
     # rational points, where the intercept a line would need is often no
     # integer in the table's scale, and a point of a line at each of their abscissas
     rational = [(Fraction(rng.randint(-8, 8), rng.randint(1, 4)),

@@ -266,7 +266,7 @@ def test_histogram_with_repeated_lines_matches_brute_force():
     ground = interval(*range(-3, 4))
     family = build_lines(g, ground, ground)
     assert family.max_multiplicity == 2
-    assert min(Counter(line.slope for line in family.lines).values()) >= 2
+    assert min(Counter(slope for slope, _c, _m in family.lines).values()) >= 2
     expected = brute_quadruple_histogram(g, ground)
     assert histogram_rows(quadruple_histogram(family)) == expected
     assert histogram_rows(quadruple_histogram(family, workers=3)) == expected

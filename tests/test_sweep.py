@@ -13,14 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from quotlab.lines import (Line, LineMultiset, build_lines, crossing_weights,
-                           rich_point_reports)
+from quotlab.lines import LineMultiset, build_lines, crossing_weights, rich_point_reports
 from quotlab.polynomials import Poly
 from quotlab.quotients import verify_chain
 from quotlab.reports import points_csv_rows
 from quotlab.sets import GroundSet
 
-from oracles import (brute_intersection_points, brute_point_lines,
+from oracles import (Line, brute_intersection_points, brute_point_lines,
                      brute_quadruple_histogram, family_of, histogram_rows, instance_lines,
                      point_rows)
 
