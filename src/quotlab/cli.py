@@ -33,6 +33,7 @@ from .rationals import as_rational
 from .sets import SetSpec, generate_set
 
 DESK_SCALE_LIMIT = 128
+_READ: dict[Path, str] = {}  # the files this run reads, by resolved path: what each holds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json_arg(text: str, what: str):
     if text.startswith("@"):
+        _READ[Path(text[1:]).resolve()] = what
         try:
             text = Path(text[1:]).read_text()
         except OSError as exc:
@@ -272,6 +274,7 @@ def _config_echo(config: dict, inp) -> dict:
 
 
 def _run(argv) -> int:
+    _READ.clear()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment is None:
@@ -286,6 +289,8 @@ def _run(argv) -> int:
             raise InputError(f"cannot write {path!r}: not a path in an existing directory")
         if path and Path(path).is_dir():
             raise InputError(f"cannot write the output: {path!r} is a directory")
+        if path and (read := _READ.get(Path(path).resolve())):
+            raise InputError(f"cannot write the output: {path!r} is also the {read} path")
     if output and inp.csv_out and Path(output).resolve() == Path(inp.csv_out).resolve():
         raise InputError(f"cannot write the output: {inp.csv_out!r} is also the report path")
     started = time.perf_counter()

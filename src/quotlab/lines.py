@@ -135,30 +135,26 @@ class LineMultiset:
 
 
 def _scaled_values(g: Poly, ground_a: GroundSet, ground_b: GroundSet):
-    """g on A x B in integers: (rows, qb, L), with rows mapping b*qb to
-    the list of L * g(a, b) over A, qb the lcm of B's denominators and
-    L = D * qa^dx * qb^dy, where D is the lcm of g's coefficient
-    denominators, qa that of A's, and dx, dy g's degrees in x and y."""
+    """g on A x B in integers, one pass over the table per power of x:
+    (rows, qb, L), with rows mapping b*qb to the list of L * g(a, b) over
+    A, qb the lcm of B's denominators and L = D * qa^dx * qb^dy, where D is
+    the lcm of g's coefficient denominators, qa that of A's, and dx, dy g's
+    degrees in x and y."""
     qa = lcm(*(a.denominator for a in ground_a))
     qb = lcm(*(b.denominator for b in ground_b))
-    dx = max((i for i, _ in g.terms), default=0)
-    dy = max((j for _, j in g.terms), default=0)
-    d = lcm(*(c.denominator for c in g.terms.values()))
+    dx = max((i for i, _ in g), default=0)
+    dy = max((j for _, j in g), default=0)
+    d = lcm(*(c.denominator for c in g.values()))
     # L * c * a^i * b^j = k * (a*qa)^i * (b*qb)^j with the integer k below
     terms = [(i, j, c.numerator * (d // c.denominator) * qa ** (dx - i) * qb ** (dy - j))
-             for (i, j), c in g.terms.items()]
+             for (i, j), c in g.items()]
     xs = [a.numerator * (qa // a.denominator) for a in ground_a]
-    powers = {i: [x ** i for x in xs] for i, _, _ in terms}
-    rows: dict[int, list[int]] = {}
-    for b in ground_b:
-        y = b.numerator * (qb // b.denominator)
-        coeffs: dict[int, int] = {}
-        for i, j, k in terms:
-            coeffs[i] = coeffs.get(i, 0) + k * y ** j
-        row = [0] * len(xs)
-        for i, k in coeffs.items():
-            row = [v + k * p for v, p in zip(row, powers[i])]
-        rows[y] = row
+    rows = {b.numerator * (qb // b.denominator): [0] * len(xs) for b in ground_b}
+    for i in {i for i, _, _ in terms}:
+        powers = [x ** i for x in xs]
+        for y, row in rows.items():
+            c = sum(k * y ** j for ti, j, k in terms if ti == i)
+            rows[y] = [v + c * p for v, p in zip(row, powers)]
     return rows, qb, d * qa ** dx * qb ** dy
 
 

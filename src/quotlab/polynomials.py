@@ -1,7 +1,7 @@
 """Sparse exact-coefficient bivariate polynomials and the x-dependence test.
 
-``Poly`` stores g(x, y) as a map from exponent pairs (i, j) to nonzero
-Fraction coefficients.
+``Poly`` is g(x, y) as the dict of its terms: exponent pairs (i, j) map to
+nonzero Fraction coefficients.
 
 The central question answered here: is the pair difference
 g(x1, y1) - g(x2, y2) divisible by y2 - y1?  Because the divisor is
@@ -21,36 +21,28 @@ from .errors import InputError
 from .rationals import as_rational, format_rational
 
 
-class Poly:
-    """Sparse bivariate polynomial with exact rational coefficients.
+class Poly(dict):
+    """Sparse bivariate polynomial with exact rational coefficients: a dict
+    from exponent pairs (i, j) to nonzero Fractions.
 
-    Immutable by convention: no method mutates ``terms`` after
-    construction, so instances are safe to share across workers.
+    Immutable by convention: nothing mutates it after construction, so
+    instances are safe to share across workers.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
         for exps, coeff in (terms or {}).items():
             if not (isinstance(exps, tuple) and len(exps) == 2
                     and all(type(e) is int and e >= 0 for e in exps)):
                 raise InputError(f"exponent key {exps!r} is not a pair of nonnegative integers")
             c = as_rational(coeff)
             if c != 0:
-                clean[exps] = c
-        self.terms = clean
+                self[exps] = c
 
     def total_degree(self) -> int | None:
         """Max sum of exponents; None marks the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; equality only
+        return max((sum(e) for e in self), default=None)
 
     # -- evaluation and printing ----------------------------------------
 
@@ -58,12 +50,12 @@ class Poly:
         """Exact value at a rational point (x, y)."""
         x, y = point
         total = Fraction(0)
-        for (i, j), coeff in self.terms.items():
+        for (i, j), coeff in self.items():
             total += coeff * x ** i * y ** j
         return total
 
     def __str__(self) -> str:
-        return _format_terms(self.terms, ("x", "y"))
+        return _format_terms(self, ("x", "y"))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -112,7 +104,7 @@ def bivariate_from_terms(entries) -> Poly:
 def bivariate_to_terms(g: Poly) -> list[dict]:
     """Inverse of ``bivariate_from_terms``, sorted by exponents."""
     return [{"c": format_rational(c), "i": e[0], "j": e[1]}
-            for e, c in sorted(g.terms.items())]
+            for e, c in sorted(g.items())]
 
 
 # -- the x-dependence verdict -------------------------------------------
@@ -131,12 +123,12 @@ def degeneracy_test(g: Poly) -> dict:
     gives -c * sum over k < j of y1^k * y2^(j-1-k).
     """
     diff = {}
-    for (i, j), c in g.terms.items():
+    for (i, j), c in g.items():
         if i:
             diff[(i, 0, j)], diff[(0, i, j)] = c, -c
     if diff:
         return {"degenerate": False, "witness": "g(x1,y) - g(x2,y) = "
                 f"{_format_terms(diff, ('x1', 'x2', 'y'))}, not identically zero"}
-    cofactor = {(k, j - 1 - k): -c for (_, j), c in g.terms.items() for k in range(j)}
+    cofactor = {(k, j - 1 - k): -c for (_, j), c in g.items() for k in range(j)}
     return {"degenerate": True, "witness": "g has no x-dependent term; g(x1,y1) - g(x2,y2) = "
             f"(y2 - y1) * ({_format_terms(cofactor, ('y1', 'y2'))})"}

@@ -301,7 +301,7 @@ def poly_mul(a: dict, b: dict) -> dict:
 def pair_difference(g: Poly) -> dict:
     """g(x1, y1) - g(x2, y2) in the ring (x1, x2, y1, y2)."""
     out: dict = {}
-    for (i, j), c in g.terms.items():
+    for (i, j), c in g.items():
         _accumulate(out, (i, 0, j, 0), c)
         _accumulate(out, (0, i, 0, j), -c)
     return out

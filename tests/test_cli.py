@@ -371,6 +371,34 @@ def test_chain_results_bytes_are_unchanged(tmp_path):
             assert results_sha256(report) == digest
 
 
+# a rational g on a rational AP, so that the line table clears the
+# denominators of A and of every coefficient: g = x^3/3 - (2/5)*x*y^2 +
+# (7/2)*x*y + y over {1/3, 1/3 + 2/7, ...}, |A| = 9 (2,715 quotients);
+# written when the table was filled from power tables, row by row
+G_RATIONAL = ('[{"c":"1/3","i":3,"j":0},{"c":"-2/5","i":1,"j":2},'
+              '{"c":"7/2","i":1,"j":1},{"c":"1","i":0,"j":1}]')
+RATIONAL_SET = '{"kind":"arithmetic","start":"1/3","step":"2/7","size":9}'
+RATIONAL_HISTOGRAM_CSV_SHA256 = "0ca65f6c2ff7722b5bb6c1a5a2591a56a1b29cfa1a552c1c82a64f616d968971"
+RATIONAL_VALUES_CSV_SHA256 = "84b707849f7039400f4a0a0ff80af684d2f2deced1813f3aa1ea647ccbfdedf3"
+RATIONAL_CHAIN_RESULTS_SHA256 = "d645462eeab2cba6730fb82270fe52a1c4d09a3ac402a04f025536de2adeb872"
+
+
+def test_rational_g_bytes_are_unchanged(tmp_path):
+    for workers in ("1", "2"):
+        hist_path = tmp_path / f"hist_{workers}.csv"
+        code, report = run_cli(tmp_path, "chain", "--g", G_RATIONAL, "--set", RATIONAL_SET,
+                               "--histogram-out", str(hist_path), "--workers", workers)
+        assert code == 0
+        assert hashlib.sha256(hist_path.read_bytes()).hexdigest() == RATIONAL_HISTOGRAM_CSV_SHA256
+        assert results_sha256(report) == RATIONAL_CHAIN_RESULTS_SHA256
+        values_path = tmp_path / f"values_{workers}.csv"
+        code, report = run_cli(tmp_path, "quotient", "--g", G_RATIONAL, "--set", RATIONAL_SET,
+                               "--values-out", str(values_path), "--workers", workers)
+        assert code == 0
+        assert report["results"]["size_x"] == 2715
+        assert hashlib.sha256(values_path.read_bytes()).hexdigest() == RATIONAL_VALUES_CSV_SHA256
+
+
 def test_scan_results_and_csv_bytes_are_unchanged(tmp_path):
     for (g, start, sizes), digest in SCAN_RESULTS_SHA256.items():
         spec = json.dumps({"kind": "arithmetic", "start": start, "step": 1, "size": 3})
@@ -563,6 +591,31 @@ def test_csv_at_the_report_path_is_refused_before_the_run(tmp_path, monkeypatch,
     assert "is also the report path" in err
     assert calls == {"histogram": 0, "quotient": 0, "sweep": 0}
     assert not target.exists()
+
+
+@pytest.mark.parametrize("flag, read", [("--out", "config"), ("--histogram-out", "config"),
+                                        (None, "config"), ("--out", "polynomial"),
+                                        ("--histogram-out", "set spec")])
+def test_output_at_an_input_path_is_refused_before_the_run(tmp_path, monkeypatch, capsys,
+                                                           flag, read):
+    # None: the config's own "output" field names the config file
+    calls = count_kernel_calls(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    fields = {"experiment": "chain", "g": json.loads(G_XY), "set": json.loads(AP3)}
+    text = {"config": json.dumps({**fields, "output": "run.json"} if flag is None else fields),
+            "polynomial": G_XY, "set spec": AP3}[read]
+    (tmp_path / "run.json").write_text(text)
+    # the input through its absolute path, the output through a relative one
+    source = str(tmp_path / "run.json")
+    inputs = {"config": ["--config", source], "polynomial": ["--g", "@" + source, "--set", AP3],
+              "set spec": ["--g", G_XY, "--set", "@" + source]}[read]
+    code = main(["chain", *inputs, "--workers", "1"] + ([flag, "run.json"] if flag else []))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write the output: 'run.json' is also the {read} path\n"
+    assert calls == {"histogram": 0, "quotient": 0, "sweep": 0}
+    assert (tmp_path / "run.json").read_text() == text
 
 
 @pytest.mark.parametrize("flag", ["--out", "--values-out"])
@@ -1392,8 +1445,8 @@ def test_benchmark_tracer_runs_on_this_tree(tmp_path, argv, spans_seen, counts):
 def test_cli_import_leaves_the_pool_machinery_unloaded():
     # set-up time: only runs that fork children import pickle, no run
     # imports concurrent.futures or multiprocessing, and the results are
-    # plain dicts and tuples, subclasses of set, Counter and tuple, and
-    # slotted classes, not dataclasses
+    # plain dicts and tuples, subclasses of dict, set, Counter and tuple,
+    # and slotted classes, not dataclasses
     src = str(Path(quotlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
